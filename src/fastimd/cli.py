@@ -169,7 +169,10 @@ def run_decompose(args: argparse.Namespace) -> int:
         if args.max_modes < 1:
             raise CliError(1, "--max-modes must be at least 1")
         _prepare_output_dir(args.output_dir)
-        result = decompose(data, cfg, max_modes=args.max_modes)
+        try:
+            result = decompose(data, cfg, max_modes=args.max_modes)
+        except ValueError as exc:  # e.g. cyclic extension on non-matching ends
+            raise CliError(1, str(exc)) from exc
 
         lines = []
         chart = {"input": data}
@@ -217,7 +220,10 @@ def run_filter(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(1, str(exc)) from exc
         _prepare_output_dir(args.output_dir)
-        result = filter_series(data, criteria, cfg)
+        try:
+            result = filter_series(data, criteria, cfg)
+        except ValueError as exc:
+            raise CliError(1, str(exc)) from exc
 
         _write_series(os.path.join(args.output_dir, "filtered.csv"), result.filtered)
         _write_series(os.path.join(args.output_dir, "blocked.csv"), result.blocked)

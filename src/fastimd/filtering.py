@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .imd import RefinementConfig, extract_mode
+from .imd import RefinementConfig, _chord_midpoints, extract_mode
 from .series import Extremum, TimeSeries, find_extrema
 from .spline import build_spline
 
@@ -168,36 +168,23 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
     if not lists:
         return imf
     ext = find_extrema(imf)
-    pos_by_index = {e.index: k for k, e in enumerate(ext)}
-    endpoint_start = (float(imf.times[0]), float(imf.values[0]))
-    endpoint_end = (float(imf.times[-1]), float(imf.values[-1]))
+    index = np.array([e.index for e in ext], dtype=np.intp)
+    value = imf.values[index]
+    # each extremum's neighbours in the full extremum sequence, with the
+    # series endpoints standing in at either end
+    seq_t = np.concatenate(([imf.times[0]], imf.times[index], [imf.times[-1]]))
+    seq_v = np.concatenate(([imf.values[0]], value, [imf.values[-1]]))
+    medians = np.where(value == 0.0, 0.0, _chord_midpoints(seq_t, seq_v))
 
     out = imf.values.copy()
     for lst in lists:
-        knot_t = [lst.anchor_before[0]]
-        knot_v = [lst.anchor_before[1]]
-        for e in lst.extrema:
-            k = pos_by_index[e.index]
-            prev_tv = (ext[k - 1].time, ext[k - 1].value) if k > 0 else endpoint_start
-            next_tv = (ext[k + 1].time, ext[k + 1].value) if k + 1 < len(ext) else endpoint_end
-            knot_t.append(e.time)
-            knot_v.append(_median_value(e, prev_tv, next_tv))
-        knot_t.append(lst.anchor_after[0])
-        knot_v.append(lst.anchor_after[1])
+        pos = np.searchsorted(index, [e.index for e in lst.extrema])
+        knot_t = np.concatenate(([lst.anchor_before[0]], seq_t[pos + 1], [lst.anchor_after[0]]))
+        knot_v = np.concatenate(([lst.anchor_before[1]], medians[pos], [lst.anchor_after[1]]))
         bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))
         mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
         out[mask] = bridge.evaluate_on_grid(imf.times[mask])
     return imf.with_values(out)
-
-
-def _median_value(e: Extremum, prev_tv, next_tv) -> float:
-    """Average of the extremum and the chord through its neighbours; the
-    extremum itself when its amplitude is exactly zero."""
-    if e.value == 0.0:
-        return 0.0
-    (tp, vp), (tn, vn) = prev_tv, next_tv
-    chord = vp + (vn - vp) * (e.time - tp) / (tn - tp)
-    return 0.5 * (e.value + chord)
 
 
 def filter_series(

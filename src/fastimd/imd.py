@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import EXTENSION_KINDS, EXTENSION_VARIANTS, extend
+from .extension import EXTENSION_KINDS, extend
 from .series import TimeSeries, differentiate, find_extrema, inflection_control_points
 from .spline import CubicSpline, build_spline
 
@@ -52,9 +52,7 @@ class RefinementConfig:
 
     max_iterations: int = 12
     delta_tolerance: Optional[float] = None
-    stop_on_nondecreasing_delta: bool = True
     extension: str = "even"
-    extension_variant: str = "strict"
     initialization: str = "derivative"
 
     def __post_init__(self) -> None:
@@ -64,8 +62,6 @@ class RefinementConfig:
             raise ValueError("delta_tolerance must be nonnegative")
         if self.extension not in EXTENSION_KINDS:
             raise ValueError(f"unknown extension kind {self.extension!r}")
-        if self.extension_variant not in EXTENSION_VARIANTS:
-            raise ValueError(f"unknown extension variant {self.extension_variant!r}")
         if self.initialization not in INITIALIZATIONS:
             raise ValueError(f"unknown initialization {self.initialization!r}")
 
@@ -134,14 +130,19 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     v = np.asarray(v, dtype=np.float64)
     if len(t) < 5:
         raise ValueError("median points need at least 5 points")
-    alpha = turning_directions(t, v)
-    prev_prod = alpha[:-2] * alpha[1:-1]
-    next_prod = alpha[1:-1] * alpha[2:]
-    use_median = (prev_prod < 0.0) | (next_prod < 0.0)
-    ti = t[2:-2]
-    vi = v[2:-2]
-    chord = v[1:-3] + (v[3:-1] - v[1:-3]) * (ti - t[1:-3]) / (t[3:-1] - t[1:-3])
-    return ti.copy(), np.where(use_median, 0.5 * (vi + chord), vi)
+    # compare signs, not products: products of turning directions underflow
+    # to zero or overflow at extreme value scales
+    sign = np.sign(turning_directions(t, v))
+    flip = sign[:-1] * sign[1:] < 0.0
+    use_median = flip[:-1] | flip[1:]
+    return t[2:-2].copy(), np.where(use_median, _chord_midpoints(t[1:-1], v[1:-1]), v[2:-2])
+
+
+def _chord_midpoints(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each interior point, the average of its value and the chord
+    through its two neighbours. Output is two shorter than the input."""
+    chord = v[:-2] + (v[2:] - v[:-2]) * (t[1:-1] - t[:-2]) / (t[2:] - t[:-2])
+    return 0.5 * (v[1:-1] + chord)
 
 
 def initial_residue(data: TimeSeries, initialization: str = "derivative") -> Optional[TimeSeries]:
@@ -189,25 +190,11 @@ def refine_once(
         # extension then pivots on the data boundary itself
         ct = np.concatenate(([data.times[0]], ct, [data.times[-1]]))
         cv = np.concatenate(([data.values[0]], cv, [data.values[-1]]))
-    et, ev = extend(
-        ct,
-        cv,
-        cfg.extension,
-        start_anchor=anchors[0],
-        end_anchor=anchors[1],
-        variant=cfg.extension_variant,
-    )
+    et, ev = extend(ct, cv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
     mt, mv = median_points(et, ev)
     # extend the medians the same way so the residue spline reaches the data
     # boundary; any sample still outside the span holds the end knot value
-    st, sv = extend(
-        mt,
-        mv,
-        cfg.extension,
-        start_anchor=anchors[0],
-        end_anchor=anchors[1],
-        variant=cfg.extension_variant,
-    )
+    st, sv = extend(mt, mv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
     spline = build_spline(st, sv)
     residue_vals = _evaluate_held(spline, data.times)
     residue = data.with_values(residue_vals)
@@ -221,13 +208,14 @@ def extract_mode(
 ) -> Optional[ModeComponent]:
     """Separate one oscillatory component from the data.
 
-    Returns None when the first derivative of the data has fewer than three
-    extrema, meaning nothing oscillatory remains. Otherwise refinement runs
-    until the iteration cap, until the largest residue change between passes
-    drops under the tolerance, or until that change stops shrinking, in
-    which case the previous, better iterate is kept.
+    Returns None when the data has fewer than three samples or its first
+    derivative has fewer than three extrema, meaning nothing oscillatory
+    remains. Otherwise refinement runs until the iteration cap, until the
+    largest residue change between passes drops under the tolerance, or until
+    that change stops shrinking, in which case the previous, better iterate
+    is kept.
     """
-    if len(find_extrema(differentiate(data))) < 3:
+    if len(data) < 3 or len(find_extrema(differentiate(data))) < 3:
         return None
     residue = initial_residue(data, cfg.initialization)
     if residue is None:
@@ -252,7 +240,7 @@ def extract_mode(
         j = int(np.argmax(change))
         delta = float(change[j])
         history.append(delta)
-        if cfg.stop_on_nondecreasing_delta and k > 1 and delta >= kept_delta:
+        if k > 1 and delta >= kept_delta:
             break
         residue, imf = new_residue, new_imf
         kept_iter = k

@@ -120,35 +120,14 @@ def find_extrema(s: TimeSeries) -> list[Extremum]:
     """
     v = s.values
     steps = np.diff(v)
-    if np.all(steps != 0.0):
-        # no plateaus: vectorized sign-flip scan
-        rising = steps > 0.0
-        idx = np.nonzero(rising[:-1] != rising[1:])[0] + 1
-        out = []
-        for i in idx:
-            kind = "max" if rising[i - 1] else "min"
-            out.append(Extremum(int(i), float(s.times[i]), float(v[i]), kind))
-        return out
-    return _find_extrema_with_plateaus(s)
-
-
-def _find_extrema_with_plateaus(s: TimeSeries) -> list[Extremum]:
-    v = s.values
-    n = len(v)
-    out: list[Extremum] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[j + 1] == v[i]:
-            j += 1
-        if i > 0 and j < n - 1:
-            mid = (i + j) // 2
-            if v[i - 1] < v[i] and v[j + 1] < v[i]:
-                out.append(Extremum(mid, float(s.times[mid]), float(v[mid]), "max"))
-            elif v[i - 1] > v[i] and v[j + 1] > v[i]:
-                out.append(Extremum(mid, float(s.times[mid]), float(v[mid]), "min"))
-        i = j + 1
-    return out
+    moves = np.flatnonzero(steps)
+    rising = steps[moves] > 0.0
+    # consecutive nonzero steps that change direction enclose one run of
+    # equal values: samples moves[k] + 1 through moves[k + 1]
+    turn = np.flatnonzero(rising[:-1] != rising[1:])
+    idx = (moves[turn] + 1 + moves[turn + 1]) // 2
+    kinds = np.where(rising[turn], "max", "min").tolist()
+    return list(map(Extremum, idx.tolist(), s.times[idx].tolist(), v[idx].tolist(), kinds))
 
 
 def count_zero_crossings(s: TimeSeries) -> int:
@@ -178,32 +157,6 @@ def inflection_control_points(s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     return s.times[idx], s.values[idx]
 
 
-def _crossing_events(values: np.ndarray) -> int:
-    """Sign changes plus interior exact-zero runs whose flanks agree.
-
-    Equivalent to counting every interior touch or crossing of the zero
-    line as one event: a run of exact zeros between opposite signs is the
-    crossing itself, one between equal signs is a tangential touch.
-    """
-    signs = np.sign(values)
-    nonzero = signs[signs != 0.0]
-    flips = int(np.count_nonzero(nonzero[1:] != nonzero[:-1])) if len(nonzero) >= 2 else 0
-    touches = 0
-    n = len(values)
-    i = 0
-    while i < n:
-        if signs[i] == 0.0:
-            j = i
-            while j + 1 < n and signs[j + 1] == 0.0:
-                j += 1
-            if 0 < i and j < n - 1 and signs[i - 1] == signs[j + 1]:
-                touches += 1
-            i = j + 1
-        else:
-            i += 1
-    return flips + touches
-
-
 def imf_report(imf: TimeSeries) -> ImfReport:
     """Check a candidate component against the oscillation-count condition
     and measure how far its extrema envelopes sit from symmetry.
@@ -221,7 +174,12 @@ def imf_report(imf: TimeSeries) -> ImfReport:
     """
     from .spline import build_spline
 
-    crossings = _crossing_events(imf.values)
+    # every interior touch or crossing of the zero line is one event: sign
+    # flips across zero runs, plus zero runs whose two flanks agree in sign
+    signs = np.sign(imf.values)
+    nz = np.flatnonzero(signs)
+    touches = np.count_nonzero((np.diff(nz) > 1) & (signs[nz[1:]] == signs[nz[:-1]]))
+    crossings = count_zero_crossings(imf) + touches
     ext = find_extrema(imf)
     maxima = [e for e in ext if e.kind == "max"]
     minima = [e for e in ext if e.kind == "min"]

@@ -65,14 +65,7 @@ class CubicSpline:
 
     def evaluate(self, x: float) -> float:
         """Value of the interpolant at one point inside the knot span."""
-        x = float(x)
-        if x < self.t[0] or x > self.t[-1]:
-            raise ValueError(
-                f"evaluation point {x} outside knot span [{self.t[0]}, {self.t[-1]}]"
-            )
-        i = int(np.searchsorted(self.t, x, side="right")) - 1
-        i = min(max(i, 0), len(self.t) - 2)
-        return float(self._piece(i, np.float64(x)))
+        return float(self.evaluate_on_grid([float(x)])[0])
 
     def evaluate_on_grid(self, times: ArrayLike) -> np.ndarray:
         """Values at an increasing sequence of points inside the knot span."""

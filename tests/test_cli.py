@@ -215,6 +215,27 @@ def test_exit_1_on_bad_synth(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["decompose", "filter"])
+def test_exit_1_on_cyclic_extension_of_open_data(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    assert main([command, "--synth", "random_walk", "--extension", "cyclic",
+                 "--output-dir", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fastimd: error: cyclic extension")
+    assert main([command, "--synth", "two_cosine", "--extension", "cyclic",
+                 "--output-dir", out]) == 0
+
+
+def test_decompose_two_row_csv(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("0,1\n1,2\n")
+    out = tmp_path / "out"
+    assert main(["decompose", "--input", str(src), "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    npt.assert_array_equal(read_csv(str(out / "final_residue.csv")).values, [1.0, 2.0])
+
+
 def test_exit_2_on_io_failure(tmp_path, capsys):
     assert main(["decompose", "--input", str(tmp_path / "absent.csv")]) == 2
     bad = tmp_path / "bad.csv"

@@ -208,6 +208,13 @@ def test_filter_noop_returns_input():
     npt.assert_array_equal(res.blocked.values, 0.0)
 
 
+def test_filter_passes_short_input_through():
+    s = TimeSeries(np.array([0.0, 1.0]), np.array([3.0, -1.0]))
+    res = filter_series(s, FilterCriteria(jump_time_blocks=((0.0, 20.0),)))
+    assert res.passes == 0
+    npt.assert_array_equal(res.filtered.values, s.values)
+
+
 def test_filter_respects_pass_cap():
     s = two_cosine()
     res = filter_series(

@@ -6,6 +6,8 @@ point: its extremum polyline alternates perfectly, every median collapses to
 the axis, and one refinement pass must return a zero residue.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,7 @@ from fastimd import (
     imf_report,
     initial_residue,
     median_points,
+    random_walk,
     refine_once,
     turning_directions,
     two_cosine,
@@ -302,6 +305,26 @@ def test_decompose_constant_and_line():
     assert len(r.modes) == 0
 
 
+def test_decompose_too_short_to_differentiate():
+    s = TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    assert extract_mode(s) is None
+    r = decompose(s)
+    assert r.modes == ()
+    npt.assert_array_equal(r.final_residue.values, s.values)
+
+
+@pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e250, 1e290])
+def test_decompose_mode_count_is_scale_free(scale):
+    # turning-direction products underflow or overflow at these scales;
+    # the median rule must compare signs
+    walk = random_walk(3)
+    want = len(decompose(walk).modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = len(decompose(walk.with_values(walk.values * scale)).modes)
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -313,8 +336,6 @@ def test_config_rejects_bad_fields():
         RefinementConfig(delta_tolerance=-1.0)
     with pytest.raises(ValueError):
         RefinementConfig(extension="mirror")
-    with pytest.raises(ValueError):
-        RefinementConfig(extension_variant="sloppy")
     with pytest.raises(ValueError):
         RefinementConfig(initialization="guess")
 

@@ -19,6 +19,8 @@ from fastimd import (
     find_extrema,
     imf_report,
     inflection_control_points,
+    initial_residue,
+    random_walk,
     two_cosine,
 )
 
@@ -168,6 +170,51 @@ def test_extrema_alternate():
             assert v[e.index] == e.value
 
 
+def _reference_extrema(v):
+    """The per-sample plateau scan, kept literally as the oracle for the
+    vectorised run-length scan: (index, kind) for each interior extremum."""
+    n = len(v)
+    out = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and v[j + 1] == v[i]:
+            j += 1
+        if i > 0 and j < n - 1:
+            mid = (i + j) // 2
+            if v[i - 1] < v[i] and v[j + 1] < v[i]:
+                out.append((mid, "max"))
+            elif v[i - 1] > v[i] and v[j + 1] > v[i]:
+                out.append((mid, "min"))
+        i = j + 1
+    return out
+
+
+def _scan(s):
+    return [(e.index, e.kind) for e in find_extrema(s)]
+
+
+def test_extrema_match_reference_on_plateaus():
+    # small integers make plateaus common, inside and at either boundary
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(2, 61))
+        v = rng.integers(-2, 3, n).astype(float)
+        s = TimeSeries(np.arange(float(n)), v)
+        assert _scan(s) == _reference_extrema(v)
+        for e in find_extrema(s):
+            assert (e.time, e.value) == (s.times[e.index], v[e.index])
+
+
+def test_extrema_match_reference_on_walks():
+    for seed in range(4):
+        walk = random_walk(seed)
+        # derivatives have no zero steps; first components have hundreds
+        component = walk.with_values(walk.values - initial_residue(walk).values)
+        for s in (differentiate(walk), component):
+            assert _scan(s) == _reference_extrema(s.values)
+
+
 # ---------------------------------------------------------------------------
 # zero crossings
 # ---------------------------------------------------------------------------
@@ -261,3 +308,17 @@ def test_report_flags_one_signed_wobble():
     v = np.array([1.0, 3.0, 2.0, 4.0, 2.0, 3.0, 1.0])
     rep = imf_report(TimeSeries(t, v))
     assert not rep.condition1_ok
+
+
+@pytest.mark.parametrize(
+    "values, crossings",
+    [
+        ([1.0, 0.0, 0.0, 1.0], 1),  # touch between equal signs
+        ([1.0, 0.0, 0.0, -1.0], 1),  # crossing through a zero run
+        ([0.0, 0.0, 1.0, 2.0, 1.0, 0.0], 0),  # zeros at the boundary
+        ([0.0, 1.0, 0.0, 1.0, 0.0, -1.0, 0.0], 2),
+    ],
+)
+def test_report_counts_interior_zero_runs(values, crossings):
+    s = TimeSeries(np.arange(float(len(values))), np.array(values))
+    assert imf_report(s).zero_crossings == crossings
