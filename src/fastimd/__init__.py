@@ -28,6 +28,7 @@ from .imd import (
     turning_directions,
 )
 from .series import (
+    Extrema,
     Extremum,
     ImfReport,
     TimeSeries,
@@ -49,6 +50,7 @@ __all__ = [
     "DecompositionResult",
     "EXTENSION_KINDS",
     "EXTENSION_VARIANTS",
+    "Extrema",
     "Extremum",
     "FilterCriteria",
     "FilterPass",

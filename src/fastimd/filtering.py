@@ -106,10 +106,9 @@ def edge_jump_times(imf: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     missing outer neighbours of the first and last extremum. Empty arrays
     when the component has no extrema.
     """
-    ext = find_extrema(imf)
-    if not ext:
+    t = find_extrema(imf).time
+    if len(t) == 0:
         return np.empty(0), np.empty(0)
-    t = np.array([e.time for e in ext])
     edges = np.diff(np.concatenate(([imf.times[0]], t, [imf.times[-1]])))
     return edges[:-1].copy(), edges[1:].copy()
 
@@ -121,9 +120,8 @@ def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
     blocked [lo, hi) range, or when 0 < |value| < amplitude_floor.
     """
     ext = find_extrema(imf)
-    if not ext:
+    if len(ext) == 0:
         return []
-    v = np.array([e.value for e in ext])
     front, back = edge_jump_times(imf)
 
     marked = np.zeros(len(ext), dtype=bool)
@@ -131,30 +129,21 @@ def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
         for edges in (front, back):
             marked |= (edges >= lo) & (edges < hi)
     if criteria.amplitude_floor > 0.0:
-        marked |= (np.abs(v) > 0.0) & (np.abs(v) < criteria.amplitude_floor)
+        v = np.abs(ext.value)
+        marked |= (v > 0.0) & (v < criteria.amplitude_floor)
 
-    lists: list[MarkedList] = []
-    i = 0
-    while i < len(ext):
-        if not marked[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(ext) and marked[j + 1]:
-            j += 1
-        before = (
-            (ext[i - 1].time, ext[i - 1].value)
-            if i > 0
-            else (float(imf.times[0]), float(imf.values[0]))
-        )
-        after = (
-            (ext[j + 1].time, ext[j + 1].value)
-            if j + 1 < len(ext)
-            else (float(imf.times[-1]), float(imf.values[-1]))
-        )
-        lists.append(MarkedList(tuple(ext[i : j + 1]), before, after))
-        i = j + 1
-    return lists
+    # the series endpoint samples anchor runs that touch either end
+    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]])).tolist()
+    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]])).tolist()
+    # run k covers extrema starts[k] .. ends[k] - 1
+    edges = np.diff(np.concatenate(([0], marked, [0])))
+    starts = np.flatnonzero(edges == 1).tolist()
+    ends = np.flatnonzero(edges == -1).tolist()
+    return [
+        MarkedList(tuple(ext[k] for k in range(i, j)), (seq_t[i], seq_v[i]),
+                   (seq_t[j + 1], seq_v[j + 1]))
+        for i, j in zip(starts, ends)
+    ]
 
 
 def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSeries:
@@ -168,17 +157,15 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
     if not lists:
         return imf
     ext = find_extrema(imf)
-    index = np.array([e.index for e in ext], dtype=np.intp)
-    value = imf.values[index]
     # each extremum's neighbours in the full extremum sequence, with the
     # series endpoints standing in at either end
-    seq_t = np.concatenate(([imf.times[0]], imf.times[index], [imf.times[-1]]))
-    seq_v = np.concatenate(([imf.values[0]], value, [imf.values[-1]]))
-    medians = np.where(value == 0.0, 0.0, _chord_midpoints(seq_t, seq_v))
+    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]]))
+    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]]))
+    medians = np.where(ext.value == 0.0, 0.0, _chord_midpoints(seq_t, seq_v))
 
     out = imf.values.copy()
     for lst in lists:
-        pos = np.searchsorted(index, [e.index for e in lst.extrema])
+        pos = np.searchsorted(ext.index, [e.index for e in lst.extrema])
         knot_t = np.concatenate(([lst.anchor_before[0]], seq_t[pos + 1], [lst.anchor_after[0]]))
         knot_v = np.concatenate(([lst.anchor_before[1]], medians[pos], [lst.anchor_after[1]]))
         bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))

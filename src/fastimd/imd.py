@@ -178,10 +178,9 @@ def refine_once(
     ``(residue, imf, control_count)``, or None when the component has fewer
     than 3 extrema and no refinement is possible.
     """
-    ext = find_extrema(current_imf)
-    if len(ext) < 3:
+    idx = find_extrema(current_imf).index
+    if len(idx) < 3:
         return None
-    idx = np.array([e.index for e in ext], dtype=np.intp)
     anchors = _boundary_anchors(data)
     ct = data.times[idx]
     cv = data.values[idx]
@@ -199,7 +198,7 @@ def refine_once(
     residue_vals = _evaluate_held(spline, data.times)
     residue = data.with_values(residue_vals)
     imf = data.with_values(data.values - residue_vals)
-    return residue, imf, len(ext)
+    return residue, imf, len(idx)
 
 
 def extract_mode(

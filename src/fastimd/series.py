@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "TimeSeries",
     "Extremum",
+    "Extrema",
     "ImfReport",
     "differentiate",
     "find_extrema",
@@ -78,6 +79,29 @@ class Extremum:
     kind: str  # "max" or "min"
 
 
+@dataclass(frozen=True, eq=False)
+class Extrema:
+    """Interior local extrema of a sampled series as parallel arrays, in
+    index order: sample ``index`` (intp), its ``time`` and ``value``, and
+    ``is_max`` (bool, False for a minimum).
+
+    ``len()`` counts the extrema; ``ext[k]`` builds the k-th as one
+    ``Extremum``, so the record also iterates like a list of them.
+    """
+
+    index: np.ndarray
+    time: np.ndarray
+    value: np.ndarray
+    is_max: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, k: int) -> Extremum:
+        return Extremum(int(self.index[k]), float(self.time[k]), float(self.value[k]),
+                        "max" if self.is_max[k] else "min")
+
+
 @dataclass(frozen=True)
 class ImfReport:
     """Oscillation diagnostics for a candidate mode component.
@@ -110,13 +134,15 @@ def differentiate(s: TimeSeries) -> TimeSeries:
     return TimeSeries(t, d)
 
 
-def find_extrema(s: TimeSeries) -> list[Extremum]:
-    """Interior local maxima and minima, in index order.
+def find_extrema(s: TimeSeries) -> Extrema:
+    """Interior local maxima and minima, in index order, as an ``Extrema``
+    array record; indexing it yields ``Extremum`` objects.
 
     A flat run of equal values flanked by lower (higher) neighbours counts as
     one maximum (minimum) at the run's middle sample, lower index winning a
     tie. Runs touching the series boundary are not extrema. The result
-    alternates between maxima and minima; monotone input gives an empty list.
+    alternates between maxima and minima; monotone input gives an empty
+    record.
     """
     v = s.values
     steps = np.diff(v)
@@ -126,8 +152,7 @@ def find_extrema(s: TimeSeries) -> list[Extremum]:
     # equal values: samples moves[k] + 1 through moves[k + 1]
     turn = np.flatnonzero(rising[:-1] != rising[1:])
     idx = (moves[turn] + 1 + moves[turn + 1]) // 2
-    kinds = np.where(rising[turn], "max", "min").tolist()
-    return list(map(Extremum, idx.tolist(), s.times[idx].tolist(), v[idx].tolist(), kinds))
+    return Extrema(idx, s.times[idx], v[idx], rising[turn])
 
 
 def count_zero_crossings(s: TimeSeries) -> int:
@@ -152,8 +177,7 @@ def inflection_control_points(s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(s) < 3:
         return np.empty(0), np.empty(0)
-    ext = find_extrema(differentiate(s))
-    idx = np.array([e.index for e in ext], dtype=np.intp)
+    idx = find_extrema(differentiate(s)).index
     return s.times[idx], s.values[idx]
 
 
@@ -181,19 +205,19 @@ def imf_report(imf: TimeSeries) -> ImfReport:
     touches = np.count_nonzero((np.diff(nz) > 1) & (signs[nz[1:]] == signs[nz[:-1]]))
     crossings = count_zero_crossings(imf) + touches
     ext = find_extrema(imf)
-    maxima = [e for e in ext if e.kind == "max"]
-    minima = [e for e in ext if e.kind == "min"]
+    max_t, max_v = ext.time[ext.is_max], ext.value[ext.is_max]
+    min_t, min_v = ext.time[~ext.is_max], ext.value[~ext.is_max]
     envelope_mean: Optional[float] = None
-    if len(maxima) >= 2 and len(minima) >= 2:
-        upper = build_spline([e.time for e in maxima], [e.value for e in maxima])
-        lower = build_spline([e.time for e in minima], [e.value for e in minima])
-        lo_t = max(maxima[0].time, minima[0].time)
-        hi_t = min(maxima[-1].time, minima[-1].time)
+    if len(max_t) >= 2 and len(min_t) >= 2:
+        upper = build_spline(max_t, max_v)
+        lower = build_spline(min_t, min_v)
+        lo_t = max(max_t[0], min_t[0])
+        hi_t = min(max_t[-1], min_t[-1])
         grid = imf.times[(imf.times >= lo_t) & (imf.times <= hi_t)]
         if len(grid) > 0:
             mean = 0.5 * (upper.evaluate_on_grid(grid) + lower.evaluate_on_grid(grid))
             envelope_mean = float(np.max(np.abs(mean)))
-    oscillating = sum(1 for e in ext if e.value != 0.0)
+    oscillating = int(np.count_nonzero(ext.value))
     return ImfReport(
         zero_crossings=crossings,
         extrema_count=oscillating,

@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from fastimd import (
+    Extremum,
     TimeSeries,
     count_zero_crossings,
     differentiate,
@@ -122,7 +123,7 @@ def test_single_peak():
 
 def test_monotone_has_no_extrema():
     s = TimeSeries(np.arange(4.0), np.array([0.0, 1.0, 2.0, 3.0]))
-    assert find_extrema(s) == []
+    assert len(find_extrema(s)) == 0
 
 
 def test_endpoints_are_not_extrema():
@@ -147,7 +148,7 @@ def test_plateau_reports_midpoint():
 
 def test_plateau_at_boundary_is_ignored():
     s = TimeSeries(np.arange(4.0), np.array([1.0, 1.0, 0.0, -1.0]))
-    assert find_extrema(s) == []
+    assert len(find_extrema(s)) == 0
 
 
 def test_two_cosine_extremum_count():
@@ -190,8 +191,21 @@ def _reference_extrema(v):
     return out
 
 
-def _scan(s):
-    return [(e.index, e.kind) for e in find_extrema(s)]
+def _check_against_reference(s):
+    """The array record and the Extremum objects it yields both match the
+    reference scan."""
+    ref = _reference_extrema(s.values)
+    idx = np.array([i for i, _ in ref], dtype=np.intp)
+    ext = find_extrema(s)
+    assert ext.index.dtype == np.intp and ext.is_max.dtype == bool
+    npt.assert_array_equal(ext.index, idx)
+    npt.assert_array_equal(ext.time, s.times[idx])
+    npt.assert_array_equal(ext.value, s.values[idx])
+    npt.assert_array_equal(ext.is_max, [kind == "max" for _, kind in ref])
+    assert len(ext) == len(ref)
+    for k, (i, kind) in enumerate(ref):
+        assert ext[k] == Extremum(i, float(s.times[i]), float(s.values[i]), kind)
+    assert list(ext) == [ext[k] for k in range(len(ref))]
 
 
 def test_extrema_match_reference_on_plateaus():
@@ -200,10 +214,7 @@ def test_extrema_match_reference_on_plateaus():
     for _ in range(400):
         n = int(rng.integers(2, 61))
         v = rng.integers(-2, 3, n).astype(float)
-        s = TimeSeries(np.arange(float(n)), v)
-        assert _scan(s) == _reference_extrema(v)
-        for e in find_extrema(s):
-            assert (e.time, e.value) == (s.times[e.index], v[e.index])
+        _check_against_reference(TimeSeries(np.arange(float(n)), v))
 
 
 def test_extrema_match_reference_on_walks():
@@ -212,7 +223,7 @@ def test_extrema_match_reference_on_walks():
         # derivatives have no zero steps; first components have hundreds
         component = walk.with_values(walk.values - initial_residue(walk).values)
         for s in (differentiate(walk), component):
-            assert _scan(s) == _reference_extrema(s.values)
+            _check_against_reference(s)
 
 
 # ---------------------------------------------------------------------------
