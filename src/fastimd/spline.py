@@ -2,9 +2,9 @@
 
 End conditions are either natural (zero second derivative) or clamped
 (prescribed first derivative at both ends). The moment system is tridiagonal
-and solved with the Thomas elimination recurrence, so construction stays
-linear in the knot count. Two knots degrade to the straight line through
-them under natural ends.
+and solved by cyclic reduction over whole arrays, so construction stays
+linear in the knot count and takes O(log n) numpy steps. Two knots degrade
+to the straight line through them under natural ends.
 """
 
 from __future__ import annotations
@@ -136,22 +136,44 @@ def _solve_moments(t, y, end_condition, end_slopes):
         lower[-1] = h[-1]
         rhs[-1] = 6.0 * (s1 - slope[-1])
 
-    return _thomas(lower, diag, upper, rhs)
+    return _cyclic_reduction(lower, diag, upper, rhs)
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Tridiagonal elimination; diag is modified nowhere, scratch is local."""
+def _cyclic_reduction(lower, diag, upper, rhs):
+    """Solve the tridiagonal system ``lower[i] x[i-1] + diag[i] x[i] +
+    upper[i] x[i+1] = rhs[i]`` (``lower[0]`` and ``upper[-1]`` are zero).
+
+    Cyclic reduction (Hockney 1965): each level eliminates the odd rows from
+    the even ones, halving the system, until one row is left; the halves are
+    then solved back out level by level. Identity rows pad the system to
+    2^k - 1 unknowns so every level halves exactly. No pivoting is needed:
+    the natural and clamped moment matrices are strictly diagonally dominant,
+    every reduced system stays so, and the elimination is stable.
+    """
     n = len(diag)
-    cp = np.zeros(n)
-    dp = np.zeros(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.zeros(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+    pad = (1 << n.bit_length()) - 1 - n
+    a = np.concatenate((lower, np.zeros(pad)))
+    b = np.concatenate((diag, np.ones(pad)))
+    c = np.concatenate((upper, np.zeros(pad)))
+    d = np.concatenate((rhs, np.zeros(pad)))
+    levels = []
+    while len(b) > 1:
+        levels.append((a, b, c, d))
+        # odd row 2j + 1 takes its neighbours, even rows 2j and 2j + 2, out
+        alpha = -a[1::2] / b[0:-1:2]
+        gamma = -c[1::2] / b[2::2]
+        a, b, c, d = (
+            alpha * a[0:-1:2],
+            b[1::2] + alpha * c[0:-1:2] + gamma * a[2::2],
+            gamma * c[2::2],
+            d[1::2] + alpha * d[0:-1:2] + gamma * d[2::2],
+        )
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        # x holds this level's odd rows; the even rows follow from them
+        around = np.concatenate(([0.0], x, [0.0]))
+        full = np.empty(len(b))
+        full[1::2] = x
+        full[0::2] = (d[0::2] - a[0::2] * around[:-1] - c[0::2] * around[1:]) / b[0::2]
+        x = full
+    return x[:n]

@@ -3,15 +3,18 @@
 The hand-checked value 0.6875 for the symmetric three-knot case was computed
 from the moment equations directly: one interior moment M1 = -3, giving
 s(0.5) = 1/2 + (1/8 - 1/2) * (-3) / 6 = 11/16.  Random-knot cases are checked
-against scipy's CubicSpline, which uses an unrelated construction.
+against scipy's CubicSpline, which uses an unrelated construction, and the
+moments themselves against scipy's banded LU solver.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.interpolate import CubicSpline as SciSpline
+from scipy.linalg import solve_banded
 
 from fastimd import build_spline
+from fastimd.spline import _solve_moments
 
 
 def test_three_knot_hat():
@@ -72,6 +75,40 @@ def test_matches_scipy_clamped():
         ref = SciSpline(t, y, bc_type=((1, s0), (1, s1)))
         x = np.sort(rng.uniform(t[0], t[-1], 60))
         npt.assert_allclose(ours.evaluate_on_grid(x), ref(x), atol=1e-8)
+
+
+def _banded_moments(t, y, end_slopes):
+    """The moment equations in LAPACK banded form, solved by scipy."""
+    n = len(t)
+    h = np.diff(t)
+    slope = np.diff(y) / h
+    ab = np.zeros((3, n))  # rows: upper, main and lower diagonal
+    rhs = np.zeros(n)
+    ab[0, 2:] = h[1:]
+    ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    ab[2, :-2] = h[:-1]
+    rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+    if end_slopes is None:
+        ab[1, [0, -1]] = 1.0
+    else:
+        ab[0, 1], ab[1, 0], rhs[0] = h[0], 2.0 * h[0], 6.0 * (slope[0] - end_slopes[0])
+        ab[2, -2], ab[1, -1], rhs[-1] = h[-1], 2.0 * h[-1], 6.0 * (end_slopes[1] - slope[-1])
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("end_condition", ["natural", "clamped"])
+def test_moments_match_banded_solver(end_condition):
+    rng = np.random.default_rng(31)
+    # every size up to 40, both sides of a power of two, and one large system
+    for n in [*range(2, 41), 127, 128, 129, 12000]:
+        # knot spacings spanning four orders of magnitude
+        t = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-2.0, 2.0, n - 1))))
+        y = rng.normal(scale=10.0, size=n)
+        slopes = tuple(rng.normal(size=2)) if end_condition == "clamped" else None
+        got = _solve_moments(t, y, end_condition, slopes)
+        want = _banded_moments(t, y, slopes)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
 
 def test_natural_ends_have_zero_curvature():
