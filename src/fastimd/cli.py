@@ -173,6 +173,8 @@ def run_decompose(args: argparse.Namespace) -> int:
             result = decompose(data, cfg, max_modes=args.max_modes)
         except ValueError as exc:  # e.g. cyclic extension on non-matching ends
             raise CliError(1, str(exc)) from exc
+        except FloatingPointError as exc:  # values overflowed float64
+            raise CliError(3, str(exc)) from exc
 
         lines = []
         chart = {"input": data}
@@ -224,6 +226,8 @@ def run_filter(args: argparse.Namespace) -> int:
             result = filter_series(data, criteria, cfg)
         except ValueError as exc:
             raise CliError(1, str(exc)) from exc
+        except FloatingPointError as exc:
+            raise CliError(3, str(exc)) from exc
 
         _write_series(os.path.join(args.output_dir, "filtered.csv"), result.filtered)
         _write_series(os.path.join(args.output_dir, "blocked.csv"), result.blocked)

@@ -177,6 +177,10 @@ def refine_once(
     improved residue, and data - residue the improved component. Returns
     ``(residue, imf, control_count)``, or None when the component has fewer
     than 3 extrema and no refinement is possible.
+
+    Raises FloatingPointError when a knot, the residue or the component
+    overflows float64, which happens on data whose values come within a few
+    orders of magnitude of the float64 limit; rescaling the input avoids it.
     """
     idx = find_extrema(current_imf).index
     if len(idx) < 3:
@@ -194,11 +198,11 @@ def refine_once(
     # extend the medians the same way so the residue spline reaches the data
     # boundary; any sample still outside the span holds the end knot value
     st, sv = extend(mt, mv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
-    spline = build_spline(st, sv)
+    spline = build_spline(st, _overflow_checked(sv))
     residue_vals = _evaluate_held(spline, data.times)
-    residue = data.with_values(residue_vals)
-    imf = data.with_values(data.values - residue_vals)
-    return residue, imf, len(idx)
+    # the data is finite, so a non-finite residue shows here too
+    imf_vals = _overflow_checked(data.values - residue_vals)
+    return data.with_values(residue_vals), data.with_values(imf_vals), len(idx)
 
 
 def extract_mode(
@@ -300,6 +304,15 @@ def _boundary_anchors(data: TimeSeries):
     start = (float(data.times[0]), float(data.values[0]))
     end = (float(data.times[-1]), float(data.values[-1]))
     return start, end
+
+
+def _overflow_checked(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(
+            "values overflowed float64 during refinement; "
+            "rescale the input, for example divide it by its spread"
+        )
+    return values
 
 
 def _evaluate_held(spline: CubicSpline, grid: np.ndarray) -> np.ndarray:

@@ -65,8 +65,23 @@ class TimeSeries:
         return float(self.values.max() - self.values.min())
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
-        """A new series on the same grid."""
-        return TimeSeries(self.times, values)
+        """A new series on the same grid.
+
+        The new series shares this one's read-only ``times``, which are
+        already validated; only the values are copied and checked.
+        """
+        values = np.array(values, dtype=np.float64, copy=True)
+        if values.shape != self.times.shape:
+            raise ValueError(
+                f"values of shape {values.shape} do not fit a grid of {len(self.times)} samples"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("times and values must be finite")
+        values.flags.writeable = False
+        series = object.__new__(TimeSeries)
+        object.__setattr__(series, "times", self.times)
+        object.__setattr__(series, "values", values)
+        return series
 
 
 @dataclass(frozen=True)

@@ -143,10 +143,11 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     """Solve the tridiagonal system ``lower[i] x[i-1] + diag[i] x[i] +
     upper[i] x[i+1] = rhs[i]`` (``lower[0]`` and ``upper[-1]`` are zero).
 
-    Cyclic reduction (Hockney 1965): each level eliminates the odd rows from
-    the even ones, halving the system, until one row is left; the halves are
-    then solved back out level by level. Identity rows pad the system to
-    2^k - 1 unknowns so every level halves exactly. No pivoting is needed:
+    Cyclic reduction (Hockney 1965): each level eliminates the even-row
+    unknowns from the odd rows, leaving a tridiagonal system of half the
+    size, until one row is left; back-substitution then recovers the even
+    rows level by level. Identity rows pad the system to 2^k - 1 unknowns so
+    every level halves exactly. No pivoting is needed:
     the natural and clamped moment matrices are strictly diagonally dominant,
     every reduced system stays so, and the elimination is stable.
     """
@@ -159,7 +160,7 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     levels = []
     while len(b) > 1:
         levels.append((a, b, c, d))
-        # odd row 2j + 1 takes its neighbours, even rows 2j and 2j + 2, out
+        # odd row 2j + 1 sheds x[2j] and x[2j + 2] using even rows 2j, 2j + 2
         alpha = -a[1::2] / b[0:-1:2]
         gamma = -c[1::2] / b[2::2]
         a, b, c, d = (

@@ -14,7 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fastimd import TimeSeries, read_csv, two_cosine, write_csv
+from fastimd import TimeSeries, random_walk, read_csv, two_cosine, write_csv
 from fastimd.cli import CliError, _write_series, format_mode_line, main
 
 MODE_LINE = re.compile(
@@ -259,6 +259,21 @@ def test_exit_3_on_non_finite_output(tmp_path):
         _write_series(str(tmp_path / "x.csv"), series)
     assert err.value.code == 3
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, spread", [("decompose", 1e307), ("filter", 1e308)])
+def test_exit_3_on_overflow(tmp_path, capsys, command, spread):
+    walk = random_walk(3)
+    src = str(tmp_path / "huge.csv")
+    write_csv(walk.with_values(walk.values * (spread / walk.spread)), src)
+    argv = [command, "--input", src, "--output-dir", str(tmp_path / "out")]
+    if command == "filter":
+        argv += ["--block-jump", "0:10"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fastimd: error: values overflowed float64")
 
 
 def test_module_entry_point(tmp_path):

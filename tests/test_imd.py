@@ -325,6 +325,21 @@ def test_decompose_mode_count_is_scale_free(scale):
     assert got == want
 
 
+def _walk_with_spread(seed, spread):
+    walk = random_walk(seed)
+    return walk, walk.with_values(walk.values * (spread / walk.spread))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_raises_one_documented_error():
+    walk, huge = _walk_with_spread(3, 1e307)
+    with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
+        decompose(huge)
+    # two orders of magnitude lower nothing overflows
+    _, large = _walk_with_spread(3, 1e305)
+    assert len(decompose(large).modes) == len(decompose(walk).modes)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

@@ -64,6 +64,21 @@ def test_series_basics():
     assert r.spread == 0.0
 
 
+def test_with_values_shares_the_grid():
+    s = TimeSeries(np.arange(5.0), np.array([1.0, 3.0, 2.0, 5.0, 4.0]))
+    v = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+    r = s.with_values(v)
+    assert r.times is s.times
+    npt.assert_array_equal(r.values, v)
+    v[0] = 99.0  # the values are copied
+    assert r.values[0] == 0.0
+    assert not r.values.flags.writeable
+    for bad in (np.zeros(4), np.zeros((5, 1)), [0.0, np.nan, 0.0, 0.0, 0.0],
+                [0.0, 0.0, np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            s.with_values(bad)
+
+
 def test_series_copies_are_independent():
     t = np.arange(3.0)
     v = np.array([1.0, 2.0, 3.0])
