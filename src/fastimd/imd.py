@@ -19,7 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .extension import EXTENSION_KINDS, extend
-from .series import TimeSeries, differentiate, find_extrema, inflection_control_points
+from .series import (
+    TimeSeries,
+    _overflow_checked,
+    differentiate,
+    find_extrema,
+    inflection_control_points,
+)
 from .spline import CubicSpline, build_spline
 
 __all__ = [
@@ -304,15 +310,6 @@ def _boundary_anchors(data: TimeSeries):
     start = (float(data.times[0]), float(data.values[0]))
     end = (float(data.times[-1]), float(data.values[-1]))
     return start, end
-
-
-def _overflow_checked(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError(
-            "values overflowed float64 during refinement; "
-            "rescale the input, for example divide it by its spread"
-        )
-    return values
 
 
 def _evaluate_held(spline: CubicSpline, grid: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ class TimeSeries:
                 f"values of shape {values.shape} do not fit a grid of {len(self.times)} samples"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("times and values must be finite")
+            raise ValueError("values must be finite")
         values.flags.writeable = False
         series = object.__new__(TimeSeries)
         object.__setattr__(series, "times", self.times)
@@ -138,6 +138,7 @@ def differentiate(s: TimeSeries) -> TimeSeries:
 
     Central differences at interior samples, one-sided differences at the two
     ends. Exact for linear data; second-order accurate on smooth data.
+    Raises FloatingPointError when a difference quotient overflows float64.
     """
     if len(s) < 3:
         raise ValueError("differentiate needs at least 3 samples")
@@ -146,7 +147,21 @@ def differentiate(s: TimeSeries) -> TimeSeries:
     d[1:-1] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
     d[0] = (v[1] - v[0]) / (t[1] - t[0])
     d[-1] = (v[-1] - v[-2]) / (t[-1] - t[-2])
-    return TimeSeries(t, d)
+    return s.with_values(_overflow_checked(d))
+
+
+def _overflow_checked(values: np.ndarray) -> np.ndarray:
+    """The values unchanged; FloatingPointError if any is not finite.
+
+    Callers pass values computed from finite data, so a non-finite one
+    means the arithmetic overflowed float64.
+    """
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(
+            "values overflowed float64; "
+            "rescale the input, for example divide it by its spread"
+        )
+    return values
 
 
 def find_extrema(s: TimeSeries) -> Extrema:

@@ -338,6 +338,10 @@ def test_overflow_raises_one_documented_error():
     # two orders of magnitude lower nothing overflows
     _, large = _walk_with_spread(3, 1e305)
     assert len(decompose(large).modes) == len(decompose(walk).modes)
+    # on a fine grid the first derivative already overflows
+    fine = TimeSeries(huge.times * 1e-3, huge.values)
+    with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
+        decompose(fine)
 
 
 # ---------------------------------------------------------------------------
