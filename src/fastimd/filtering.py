@@ -136,9 +136,9 @@ def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
     seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]])).tolist()
     seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]])).tolist()
     # run k covers extrema starts[k] .. ends[k] - 1
-    edges = np.diff(np.concatenate(([0], marked, [0])))
-    starts = np.flatnonzero(edges == 1).tolist()
-    ends = np.flatnonzero(edges == -1).tolist()
+    steps = np.diff(np.concatenate(([0], marked, [0])))
+    starts = np.flatnonzero(steps == 1).tolist()
+    ends = np.flatnonzero(steps == -1).tolist()
     return [
         MarkedList(tuple(ext[k] for k in range(i, j)), (seq_t[i], seq_v[i]),
                    (seq_t[j + 1], seq_v[j + 1]))
