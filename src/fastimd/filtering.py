@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .imd import RefinementConfig, _chord_midpoints, extract_mode
-from .series import Extremum, TimeSeries, find_extrema
+from .series import Extrema, TimeSeries, find_extrema
 from .spline import build_spline
 
 __all__ = [
@@ -71,11 +71,13 @@ class FilterCriteria:
 class MarkedList:
     """A maximal contiguous run of marked extrema with its flanking anchors.
 
+    ``extrema`` is the run's slice of the component's ``Extrema`` record.
+
     Anchors are (time, value) of the nearest unmarked extremum on each side,
     or of the series endpoint sample when the run touches the boundary.
     """
 
-    extrema: tuple[Extremum, ...]
+    extrema: Extrema
     anchor_before: tuple[float, float]
     anchor_after: tuple[float, float]
 
@@ -98,6 +100,16 @@ class FilterResult:
     diagnostics: tuple[FilterPass, ...]
 
 
+def _padded_extrema(imf: TimeSeries) -> tuple[Extrema, np.ndarray, np.ndarray]:
+    """The component's extrema, plus their times and values with the series
+    endpoint samples standing in for the missing outer neighbours of the
+    first and last extremum."""
+    ext = find_extrema(imf)
+    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]]))
+    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]]))
+    return ext, seq_t, seq_v
+
+
 def edge_jump_times(imf: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """Durations of the monotone edges into and out of each extremum.
 
@@ -106,10 +118,7 @@ def edge_jump_times(imf: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     missing outer neighbours of the first and last extremum. Empty arrays
     when the component has no extrema.
     """
-    t = find_extrema(imf).time
-    if len(t) == 0:
-        return np.empty(0), np.empty(0)
-    edges = np.diff(np.concatenate(([imf.times[0]], t, [imf.times[-1]])))
+    edges = np.diff(_padded_extrema(imf)[1])
     return edges[:-1].copy(), edges[1:].copy()
 
 
@@ -119,29 +128,25 @@ def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
     An extremum is marked when either adjacent edge duration falls in any
     blocked [lo, hi) range, or when 0 < |value| < amplitude_floor.
     """
-    ext = find_extrema(imf)
-    if len(ext) == 0:
-        return []
-    front, back = edge_jump_times(imf)
-
+    ext, seq_t, seq_v = _padded_extrema(imf)
+    edges = np.diff(seq_t)
     marked = np.zeros(len(ext), dtype=bool)
     for lo, hi in criteria.jump_time_blocks:
-        for edges in (front, back):
-            marked |= (edges >= lo) & (edges < hi)
+        blocked = (edges >= lo) & (edges < hi)
+        marked |= blocked[:-1] | blocked[1:]
     if criteria.amplitude_floor > 0.0:
         v = np.abs(ext.value)
         marked |= (v > 0.0) & (v < criteria.amplitude_floor)
 
-    # the series endpoint samples anchor runs that touch either end
-    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]])).tolist()
-    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]])).tolist()
-    # run k covers extrema starts[k] .. ends[k] - 1
+    # run k covers extrema starts[k] .. ends[k] - 1; its anchors are the
+    # padded sequence's entries just outside it
     steps = np.diff(np.concatenate(([0], marked, [0])))
     starts = np.flatnonzero(steps == 1).tolist()
     ends = np.flatnonzero(steps == -1).tolist()
+    seq_t, seq_v = seq_t.tolist(), seq_v.tolist()
     return [
-        MarkedList(tuple(ext[k] for k in range(i, j)), (seq_t[i], seq_v[i]),
-                   (seq_t[j + 1], seq_v[j + 1]))
+        MarkedList(Extrema(ext.index[i:j], ext.time[i:j], ext.value[i:j], ext.is_max[i:j]),
+                   (seq_t[i], seq_v[i]), (seq_t[j + 1], seq_v[j + 1]))
         for i, j in zip(starts, ends)
     ]
 
@@ -151,23 +156,17 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
 
     Knots for a run are its extrema's median points on the component (the
     extremum itself where its value is exactly zero) with the two anchors as
-    end knots; end slopes are clamped to zero. Samples outside every anchor
-    span are copied from the component unchanged.
+    end knots; end slopes are clamped to zero. The anchors are each run's
+    outer neighbours in the extremum sequence, so a run carries all the
+    points its medians need. Samples outside every anchor span are copied
+    from the component unchanged.
     """
-    if not lists:
-        return imf
-    ext = find_extrema(imf)
-    # each extremum's neighbours in the full extremum sequence, with the
-    # series endpoints standing in at either end
-    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]]))
-    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]]))
-    medians = np.where(ext.value == 0.0, 0.0, _chord_midpoints(seq_t, seq_v))
-
     out = imf.values.copy()
     for lst in lists:
-        pos = np.searchsorted(ext.index, [e.index for e in lst.extrema])
-        knot_t = np.concatenate(([lst.anchor_before[0]], seq_t[pos + 1], [lst.anchor_after[0]]))
-        knot_v = np.concatenate(([lst.anchor_before[1]], medians[pos], [lst.anchor_after[1]]))
+        ext = lst.extrema
+        knot_t = np.concatenate(([lst.anchor_before[0]], ext.time, [lst.anchor_after[0]]))
+        knot_v = np.concatenate(([lst.anchor_before[1]], ext.value, [lst.anchor_after[1]]))
+        knot_v[1:-1] = np.where(ext.value == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
         bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))
         mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
         out[mask] = bridge.evaluate_on_grid(imf.times[mask])

@@ -14,12 +14,15 @@ from fastimd import (
     FilterCriteria,
     TimeSeries,
     build_passed_function,
+    build_spline,
     edge_jump_times,
+    extract_mode,
     filter_series,
     find_extrema,
     mark_extrema,
     two_cosine,
 )
+from fastimd.imd import _chord_midpoints
 
 
 def small_saw():
@@ -170,6 +173,92 @@ def test_bridge_keeps_zero_extrema_on_axis():
     out = build_passed_function(s, lists)
     # the zero-valued extremum is its own median
     assert out.values[3] == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# against a global-rescan reference
+# ---------------------------------------------------------------------------
+
+def _reference_mark_extrema(imf, criteria):
+    """Runs as (extremum sample indices, anchor_before, anchor_after), found
+    by a loop over the marks."""
+    ext = find_extrema(imf)
+    front, back = edge_jump_times(imf)
+    marked = np.zeros(len(ext), dtype=bool)
+    for lo, hi in criteria.jump_time_blocks:
+        for edges in (front, back):
+            marked |= (edges >= lo) & (edges < hi)
+    if criteria.amplitude_floor > 0.0:
+        v = np.abs(ext.value)
+        marked |= (v > 0.0) & (v < criteria.amplitude_floor)
+    seq_t = [float(imf.times[0]), *ext.time.tolist(), float(imf.times[-1])]
+    seq_v = [float(imf.values[0]), *ext.value.tolist(), float(imf.values[-1])]
+    runs = []
+    k = 0
+    while k < len(ext):
+        if not marked[k]:
+            k += 1
+            continue
+        j = k
+        while j < len(ext) and marked[j]:
+            j += 1
+        runs.append((ext.index[k:j], (seq_t[k], seq_v[k]), (seq_t[j + 1], seq_v[j + 1])))
+        k = j
+    return runs
+
+
+def _reference_build_passed_function(imf, runs):
+    """Bridge values with every median taken from a rescan of the whole
+    component, each run's extrema located in it by ``searchsorted``."""
+    ext = find_extrema(imf)
+    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]]))
+    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]]))
+    medians = np.where(ext.value == 0.0, 0.0, _chord_midpoints(seq_t, seq_v))
+    out = imf.values.copy()
+    for index, before, after in runs:
+        pos = np.searchsorted(ext.index, index)
+        knot_t = np.concatenate(([before[0]], seq_t[pos + 1], [after[0]]))
+        knot_v = np.concatenate(([before[1]], medians[pos], [after[1]]))
+        bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))
+        mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
+        out[mask] = bridge.evaluate_on_grid(imf.times[mask])
+    return out
+
+
+def test_runs_and_bridges_match_reference():
+    rng = np.random.default_rng(47)
+    cases = 0
+    for _ in range(100):
+        n = int(rng.integers(8, 300))
+        t = np.cumsum(rng.uniform(0.1, 3.0, n))
+        # rounding leaves plateaus; the first component adds exact-zero extrema
+        walk = TimeSeries(t, np.round(np.cumsum(rng.normal(size=n)), 1))
+        mode = extract_mode(walk)
+        for imf in (walk,) if mode is None else (walk, mode.imf):
+            blocks = []
+            for _ in range(int(rng.integers(0, 3))):
+                lo = float(rng.uniform(0.0, 6.0))
+                blocks.append((lo, lo + float(rng.uniform(0.5, 8.0))))
+            floor = float(rng.uniform(0.0, 0.3 * imf.spread)) if rng.random() < 0.5 else 0.0
+            criteria = FilterCriteria(jump_time_blocks=tuple(blocks), amplitude_floor=floor)
+            lists = mark_extrema(imf, criteria)
+            want = _reference_mark_extrema(imf, criteria)
+            assert len(lists) == len(want)
+            ext = find_extrema(imf)
+            for lst, (index, before, after) in zip(lists, want):
+                i = int(np.searchsorted(ext.index, index[0]))
+                j = i + len(index)
+                npt.assert_array_equal(lst.extrema.index, ext.index[i:j])
+                npt.assert_array_equal(lst.extrema.index, index)
+                npt.assert_array_equal(lst.extrema.time, ext.time[i:j])
+                npt.assert_array_equal(lst.extrema.value, ext.value[i:j])
+                npt.assert_array_equal(lst.extrema.is_max, ext.is_max[i:j])
+                assert (lst.anchor_before, lst.anchor_after) == (before, after)
+            npt.assert_array_equal(build_passed_function(imf, lists).values,
+                                   _reference_build_passed_function(imf, want))
+            cases += len(lists) > 0
+    # most cases mark something, so the bridges are exercised
+    assert cases > 100
 
 
 # ---------------------------------------------------------------------------
