@@ -26,7 +26,7 @@ from .series import (
     find_extrema,
     inflection_control_points,
 )
-from .spline import CubicSpline, build_spline
+from .spline import CubicSpline, _time_unit, build_spline
 
 __all__ = [
     "RefinementConfig",
@@ -137,8 +137,9 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if len(t) < 5:
         raise ValueError("median points need at least 5 points")
     # compare signs, not products: products of turning directions underflow
-    # to zero or overflow at extreme value scales
-    sign = np.sign(turning_directions(t, v))
+    # to zero or overflow at extreme value scales; for the same reason time
+    # is measured in a power-of-two unit near the mean spacing
+    sign = np.sign(turning_directions(t / _time_unit(t), v))
     flip = sign[:-1] * sign[1:] < 0.0
     use_median = flip[:-1] | flip[1:]
     return t[2:-2].copy(), np.where(use_median, _chord_midpoints(t[1:-1], v[1:-1]), v[2:-2])
@@ -146,7 +147,12 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _chord_midpoints(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """For each interior point, the average of its value and the chord
-    through its two neighbours. Output is two shorter than the input."""
+    through its two neighbours. Output is two shorter than the input.
+
+    Time is measured in a power-of-two unit near the mean spacing, which
+    changes no bit of the result but keeps the value-time products in range
+    at any time scale."""
+    t = t / _time_unit(t)
     chord = v[:-2] + (v[2:] - v[:-2]) * (t[1:-1] - t[:-2]) / (t[2:] - t[:-2])
     return 0.5 * (v[1:-1] + chord)
 
@@ -199,15 +205,18 @@ def refine_once(
         # extension then pivots on the data boundary itself
         ct = np.concatenate(([data.times[0]], ct, [data.times[-1]]))
         cv = np.concatenate(([data.values[0]], cv, [data.values[-1]]))
-    et, ev = extend(ct, cv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
-    mt, mv = median_points(et, ev)
-    # extend the medians the same way so the residue spline reaches the data
-    # boundary; any sample still outside the span holds the end knot value
-    st, sv = extend(mt, mv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
-    spline = build_spline(st, _overflow_checked(sv))
-    residue_vals = _evaluate_held(spline, data.times)
-    # the data is finite, so a non-finite residue shows here too
-    imf_vals = _overflow_checked(data.values - residue_vals)
+    # an overflow shows as a non-finite knot or residue, and is reported by
+    # the checks below instead of by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        et, ev = extend(ct, cv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
+        mt, mv = median_points(et, ev)
+        # extend the medians the same way so the residue spline reaches the
+        # data boundary; any sample still outside the span holds the end knot
+        st, sv = extend(mt, mv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
+        spline = build_spline(st, _overflow_checked(sv))
+        residue_vals = _evaluate_held(spline, data.times)
+        # the data is finite, so a non-finite residue shows here too
+        imf_vals = _overflow_checked(data.values - residue_vals)
     return data.with_values(residue_vals), data.with_values(imf_vals), len(idx)
 
 

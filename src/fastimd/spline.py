@@ -57,7 +57,12 @@ class CubicSpline:
         self.y = y
         self.end_condition = end_condition
         self.end_slopes = end_slopes
-        self._m = _solve_moments(t, y, end_condition, end_slopes)
+        # the moments are solved and kept in a time unit near the mean knot
+        # spacing, so the slopes and right-hand side stay in range however
+        # the times are scaled; a power of two rescales without rounding
+        self._unit = unit = _time_unit(t)
+        slopes = None if end_slopes is None else (end_slopes[0] * unit, end_slopes[1] * unit)
+        self._m = _solve_moments(t / unit, y, end_condition, slopes)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -91,6 +96,7 @@ class CubicSpline:
         h = t[i + 1] - t[i]
         a = (t[i + 1] - x) / h
         b = (x - t[i]) / h
+        h = h / self._unit  # the moments are per squared time unit
         return a * y[i] + b * y[i + 1] + ((a**3 - a) * m[i] + (b**3 - b) * m[i + 1]) * h**2 / 6.0
 
 
@@ -106,6 +112,12 @@ def build_spline(
     prescribed first derivatives as ``end_slopes``.
     """
     return CubicSpline(t, y, end_condition, end_slopes)
+
+
+def _time_unit(t: np.ndarray) -> float:
+    """The largest power of two not above the mean spacing of ``t``;
+    dividing times by it is exact."""
+    return float(np.ldexp(1.0, np.frexp((t[-1] - t[0]) / (len(t) - 1))[1] - 1))
 
 
 def _solve_moments(t, y, end_condition, end_slopes):

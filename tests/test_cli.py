@@ -261,7 +261,7 @@ def test_exit_3_on_non_finite_output(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, spread", [("decompose", 1e307), ("filter", 1e308)])
 def test_exit_3_on_overflow(tmp_path, capsys, command, spread):
     walk = random_walk(3)
@@ -270,6 +270,7 @@ def test_exit_3_on_overflow(tmp_path, capsys, command, spread):
     argv = [command, "--input", src, "--output-dir", str(tmp_path / "out")]
     if command == "filter":
         argv += ["--block-jump", "0:10"]
+    # the error line is the only signal: any numpy warning fails the test
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

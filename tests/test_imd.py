@@ -330,18 +330,34 @@ def _walk_with_spread(seed, spread):
     return walk, walk.with_values(walk.values * (spread / walk.spread))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_raises_one_documented_error():
     walk, huge = _walk_with_spread(3, 1e307)
-    with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
-        decompose(huge)
-    # two orders of magnitude lower nothing overflows
-    _, large = _walk_with_spread(3, 1e305)
-    assert len(decompose(large).modes) == len(decompose(walk).modes)
-    # on a fine grid the first derivative already overflows
-    fine = TimeSeries(huge.times * 1e-3, huge.values)
-    with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
-        decompose(fine)
+    # the error is the only signal: numpy must not warn on the way to it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
+            decompose(huge)
+        # two orders of magnitude lower nothing overflows
+        _, large = _walk_with_spread(3, 1e305)
+        assert len(decompose(large).modes) == len(decompose(walk).modes)
+        # on a fine grid the first derivative already overflows
+        fine = TimeSeries(huge.times * 1e-3, huge.values)
+        with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
+            decompose(fine)
+
+
+@pytest.mark.parametrize("spread", [1e300, 1e305])
+def test_mode_count_is_time_scale_free(spread):
+    # the spline moments and the median rule form value-over-time slopes and
+    # value-time products; measured in raw time units these overflow on
+    # coarse or fine grids long before the values themselves do
+    walk, large = _walk_with_spread(3, spread)
+    want = len(decompose(walk).modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            got = len(decompose(TimeSeries(large.times * scale, large.values)).modes)
+            assert got == want, scale
 
 
 # ---------------------------------------------------------------------------

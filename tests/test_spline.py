@@ -111,6 +111,24 @@ def test_moments_match_banded_solver(end_condition):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
 
+@pytest.mark.parametrize("end_slopes", [None, (0.5, -2.0)])
+def test_rescaled_times_give_the_same_curve(end_slopes):
+    # rescaling time by a power of two is exact, and so is the spline built
+    # on it, even where the moments in raw time units would overflow float64
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.uniform(0.5, 2.0, 30))
+    y = 1e290 * rng.normal(size=30)
+    grid = np.linspace(t[0], t[-1], 200)
+    kind = "natural" if end_slopes is None else "clamped"
+    slopes = None if end_slopes is None else (1e290 * end_slopes[0], 1e290 * end_slopes[1])
+    want = build_spline(t, y, kind, end_slopes=slopes).evaluate_on_grid(grid)
+    assert np.all(np.isfinite(want))
+    for scale in (2.0**-40, 2.0**40):
+        scaled = None if slopes is None else (slopes[0] / scale, slopes[1] / scale)
+        sp = build_spline(t * scale, y, kind, end_slopes=scaled)
+        npt.assert_array_equal(sp.evaluate_on_grid(grid * scale), want)
+
+
 def test_natural_ends_have_zero_curvature():
     t = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
     y = np.array([0.0, 2.0, -1.0, 1.5, 0.5])
