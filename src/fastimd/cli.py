@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from .series import TimeSeries
 from .signals import synth
 from .svgplot import render_svg
 
-__all__ = ["main", "run_decompose", "run_filter", "RunManifest", "format_mode_line"]
+__all__ = ["main", "run_decompose", "run_filter", "format_mode_line"]
 
 
 class CliError(Exception):
@@ -29,14 +28,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    input: str
-    subcommand: str
-    config: dict = field(default_factory=dict)
-    lines: tuple = ()
 
 
 def format_mode_line(k: int, extrema_count: int, value_range: tuple, iterations: int,
@@ -162,103 +153,77 @@ def _write_series(path: str, series: TimeSeries) -> None:
         raise CliError(2, str(exc)) from exc
 
 
-def run_decompose(args: argparse.Namespace) -> int:
+def run_decompose(args: argparse.Namespace) -> None:
+    """Run the decompose subcommand; failures raise ``CliError``."""
+    data, source = _load_input(args)
+    cfg = _refinement_config(args, "data_function" if args.init == "data" else "derivative")
+    if args.max_modes < 1:
+        raise CliError(1, "--max-modes must be at least 1")
+    _prepare_output_dir(args.output_dir)
     try:
-        data, source = _load_input(args)
-        cfg = _refinement_config(args, "data_function" if args.init == "data" else "derivative")
-        if args.max_modes < 1:
-            raise CliError(1, "--max-modes must be at least 1")
-        _prepare_output_dir(args.output_dir)
+        result = decompose(data, cfg, max_modes=args.max_modes)
+    except ValueError as exc:  # e.g. cyclic extension on non-matching ends
+        raise CliError(1, str(exc)) from exc
+    except FloatingPointError as exc:  # values overflowed float64
+        raise CliError(3, str(exc)) from exc
+
+    lines = []
+    chart = {"input": data}
+    for k, mode in enumerate(result.modes, start=1):
+        _write_series(os.path.join(args.output_dir, f"imf_{k}.csv"), mode.imf)
+        _write_series(os.path.join(args.output_dir, f"residue_{k}.csv"), mode.residue)
+        lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
+                                      mode.iterations, mode.final_delta, mode.delta_time))
+        chart[f"imf {k}"] = mode.imf
+    _write_series(os.path.join(args.output_dir, "final_residue.csv"),
+                  result.final_residue)
+    chart["residue"] = result.final_residue
+
+    for line in lines:
+        print(line)
+    if args.plot:
         try:
-            result = decompose(data, cfg, max_modes=args.max_modes)
-        except ValueError as exc:  # e.g. cyclic extension on non-matching ends
-            raise CliError(1, str(exc)) from exc
-        except FloatingPointError as exc:  # values overflowed float64
-            raise CliError(3, str(exc)) from exc
-
-        lines = []
-        chart = {"input": data}
-        for k, mode in enumerate(result.modes, start=1):
-            _write_series(os.path.join(args.output_dir, f"imf_{k}.csv"), mode.imf)
-            _write_series(os.path.join(args.output_dir, f"residue_{k}.csv"), mode.residue)
-            lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
-                                          mode.iterations, mode.final_delta, mode.delta_time))
-            chart[f"imf {k}"] = mode.imf
-        _write_series(os.path.join(args.output_dir, "final_residue.csv"),
-                      result.final_residue)
-        chart["residue"] = result.final_residue
-
-        manifest = RunManifest(input=source, subcommand="decompose",
-                               config={"max_modes": args.max_modes,
-                                       "max_iterations": cfg.max_iterations,
-                                       "delta_tolerance": cfg.delta_tolerance,
-                                       "extension": cfg.extension,
-                                       "initialization": cfg.initialization},
-                               lines=tuple(lines))
-        for line in manifest.lines:
-            print(line)
-        if args.plot:
-            try:
-                render_svg(chart, os.path.join(args.output_dir, "decomposition.svg"),
-                           title=f"decomposition of {source}")
-            except OSError as exc:
-                raise CliError(2, str(exc)) from exc
-    except CliError as exc:
-        print(f"fastimd: error: {exc}", file=sys.stderr)
-        return exc.code
-    return 0
+            render_svg(chart, os.path.join(args.output_dir, "decomposition.svg"),
+                       title=f"decomposition of {source}")
+        except OSError as exc:
+            raise CliError(2, str(exc)) from exc
 
 
-def run_filter(args: argparse.Namespace) -> int:
+def run_filter(args: argparse.Namespace) -> None:
+    """Run the filter subcommand; failures raise ``CliError``."""
+    data, source = _load_input(args)
+    cfg = _refinement_config(args, "derivative")
     try:
-        data, source = _load_input(args)
-        cfg = _refinement_config(args, "derivative")
-        try:
-            criteria = FilterCriteria(
-                jump_time_blocks=tuple(args.block_jump),
-                amplitude_floor=args.amp_floor,
-                max_passes=args.max_passes,
-            )
-        except ValueError as exc:
-            raise CliError(1, str(exc)) from exc
-        _prepare_output_dir(args.output_dir)
-        try:
-            result = filter_series(data, criteria, cfg)
-        except ValueError as exc:
-            raise CliError(1, str(exc)) from exc
-        except FloatingPointError as exc:
-            raise CliError(3, str(exc)) from exc
+        criteria = FilterCriteria(
+            jump_time_blocks=tuple(args.block_jump),
+            amplitude_floor=args.amp_floor,
+            max_passes=args.max_passes,
+        )
+    except ValueError as exc:
+        raise CliError(1, str(exc)) from exc
+    _prepare_output_dir(args.output_dir)
+    try:
+        result = filter_series(data, criteria, cfg)
+    except ValueError as exc:
+        raise CliError(1, str(exc)) from exc
+    except FloatingPointError as exc:
+        raise CliError(3, str(exc)) from exc
 
-        _write_series(os.path.join(args.output_dir, "filtered.csv"), result.filtered)
-        _write_series(os.path.join(args.output_dir, "blocked.csv"), result.blocked)
+    _write_series(os.path.join(args.output_dir, "filtered.csv"), result.filtered)
+    _write_series(os.path.join(args.output_dir, "blocked.csv"), result.blocked)
 
-        lines = []
-        for p, step in enumerate(result.diagnostics, start=1):
-            lines.append(f"Pass {p}: marked {step.marked} extrema, "
-                         f"max change {step.max_change:.6f}")
-        if not lines:
-            lines.append("Pass 0: nothing marked, input passed unchanged")
-        manifest = RunManifest(input=source, subcommand="filter",
-                               config={"jump_time_blocks": list(criteria.jump_time_blocks),
-                                       "amplitude_floor": criteria.amplitude_floor,
-                                       "max_passes": criteria.max_passes,
-                                       "max_iterations": cfg.max_iterations,
-                                       "extension": cfg.extension},
-                               lines=tuple(lines))
-        for line in manifest.lines:
-            print(line)
-        if args.plot:
-            try:
-                render_svg({"input": data, "filtered": result.filtered,
-                            "blocked": result.blocked},
-                           os.path.join(args.output_dir, "filter.svg"),
-                           title=f"filter of {source}")
-            except OSError as exc:
-                raise CliError(2, str(exc)) from exc
-    except CliError as exc:
-        print(f"fastimd: error: {exc}", file=sys.stderr)
-        return exc.code
-    return 0
+    for p, step in enumerate(result.diagnostics, start=1):
+        print(f"Pass {p}: marked {step.marked} extrema, max change {step.max_change:.6f}")
+    if not result.diagnostics:
+        print("Pass 0: nothing marked, input passed unchanged")
+    if args.plot:
+        try:
+            render_svg({"input": data, "filtered": result.filtered,
+                        "blocked": result.blocked},
+                       os.path.join(args.output_dir, "filter.svg"),
+                       title=f"filter of {source}")
+        except OSError as exc:
+            raise CliError(2, str(exc)) from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -267,9 +232,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "decompose":
-        return run_decompose(args)
-    return run_filter(args)
+    try:
+        (run_decompose if args.command == "decompose" else run_filter)(args)
+    except CliError as exc:
+        print(f"fastimd: error: {exc}", file=sys.stderr)
+        return exc.code
+    return 0
 
 
 if __name__ == "__main__":
