@@ -1,6 +1,7 @@
 """Command-line front end: decompose and filter subcommands.
 
-Exit codes: 0 success, 1 invalid arguments, 2 I/O failure, 3 numeric failure.
+Exit codes: 0 success, 1 invalid arguments, 2 I/O failure, 3 numeric failure
+(non-finite output, or values that overflow float64).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import read_csv, write_csv
+from .extension import EXTENSION_KINDS
 from .filtering import FilterCriteria, filter_series
 from .imd import RefinementConfig, decompose
 from .series import TimeSeries
-from .signals import synth
+from .signals import SYNTH_KINDS, synth
 from .svgplot import render_svg
 
 __all__ = ["main", "run_decompose", "run_filter", "format_mode_line"]
@@ -65,8 +67,8 @@ def _jump_block(text: str) -> tuple:
 def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="CSV", help="input series file")
-    source.add_argument("--synth", metavar="KIND",
-                        help="generate input: two_cosine, sinusoid, random_walk, riding_wave")
+    source.add_argument("--synth", metavar="KIND", choices=SYNTH_KINDS,
+                        help="generate input: %(choices)s")
     sub.add_argument("--output-dir", default=".", metavar="DIR")
     sub.add_argument("--span", type=float, default=None, help="synthetic signal span")
     sub.add_argument("--step", type=float, default=None, help="synthetic sample step")
@@ -82,7 +84,7 @@ def _add_refinement_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iters", type=int, default=12)
     sub.add_argument("--delta-tol", type=float, default=None,
                      help="absolute stop tolerance; default 1e-3 of the value range")
-    sub.add_argument("--extension", choices=("even", "odd", "cyclic"), default="even")
+    sub.add_argument("--extension", choices=EXTENSION_KINDS, default="even")
 
 
 def build_parser() -> _Parser:
@@ -110,9 +112,7 @@ def _load_input(args: argparse.Namespace) -> tuple:
     if args.input is not None:
         try:
             return read_csv(args.input), args.input
-        except OSError as exc:
-            raise CliError(2, str(exc)) from exc
-        except ValueError as exc:
+        except ValueError as exc:  # a malformed file is an I/O failure, not a bad argument
             raise CliError(2, str(exc)) from exc
     params = {}
     for name in ("span", "step", "seed", "amplitude", "period", "phase"):
@@ -121,51 +121,33 @@ def _load_input(args: argparse.Namespace) -> tuple:
             params[name] = value
     try:
         return synth(args.synth, **params), f"synth:{args.synth}"
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:  # a parameter the generator does not take
         raise CliError(1, str(exc)) from exc
 
 
 def _refinement_config(args: argparse.Namespace, initialization: str) -> RefinementConfig:
-    try:
-        return RefinementConfig(
-            max_iterations=args.max_iters,
-            delta_tolerance=args.delta_tol,
-            extension=args.extension,
-            initialization=initialization,
-        )
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
-
-
-def _prepare_output_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(2, str(exc)) from exc
+    return RefinementConfig(
+        max_iterations=args.max_iters,
+        delta_tolerance=args.delta_tol,
+        extension=args.extension,
+        initialization=initialization,
+    )
 
 
 def _write_series(path: str, series: TimeSeries) -> None:
     if not np.all(np.isfinite(series.values)):
         raise CliError(3, f"non-finite values in {os.path.basename(path)}")
-    try:
-        write_csv(series, path)
-    except OSError as exc:
-        raise CliError(2, str(exc)) from exc
+    write_csv(series, path)
 
 
 def run_decompose(args: argparse.Namespace) -> None:
-    """Run the decompose subcommand; failures raise ``CliError``."""
+    """Run the decompose subcommand; ``main`` maps its failures to exit codes."""
     data, source = _load_input(args)
     cfg = _refinement_config(args, "data_function" if args.init == "data" else "derivative")
     if args.max_modes < 1:
         raise CliError(1, "--max-modes must be at least 1")
-    _prepare_output_dir(args.output_dir)
-    try:
-        result = decompose(data, cfg, max_modes=args.max_modes)
-    except ValueError as exc:  # e.g. cyclic extension on non-matching ends
-        raise CliError(1, str(exc)) from exc
-    except FloatingPointError as exc:  # values overflowed float64
-        raise CliError(3, str(exc)) from exc
+    os.makedirs(args.output_dir, exist_ok=True)
+    result = decompose(data, cfg, max_modes=args.max_modes)
 
     lines = []
     chart = {"input": data}
@@ -182,32 +164,21 @@ def run_decompose(args: argparse.Namespace) -> None:
     for line in lines:
         print(line)
     if args.plot:
-        try:
-            render_svg(chart, os.path.join(args.output_dir, "decomposition.svg"),
-                       title=f"decomposition of {source}")
-        except OSError as exc:
-            raise CliError(2, str(exc)) from exc
+        render_svg(chart, os.path.join(args.output_dir, "decomposition.svg"),
+                   title=f"decomposition of {source}")
 
 
 def run_filter(args: argparse.Namespace) -> None:
-    """Run the filter subcommand; failures raise ``CliError``."""
+    """Run the filter subcommand; ``main`` maps its failures to exit codes."""
     data, source = _load_input(args)
     cfg = _refinement_config(args, "derivative")
-    try:
-        criteria = FilterCriteria(
-            jump_time_blocks=tuple(args.block_jump),
-            amplitude_floor=args.amp_floor,
-            max_passes=args.max_passes,
-        )
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
-    _prepare_output_dir(args.output_dir)
-    try:
-        result = filter_series(data, criteria, cfg)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
-    except FloatingPointError as exc:
-        raise CliError(3, str(exc)) from exc
+    criteria = FilterCriteria(
+        jump_time_blocks=tuple(args.block_jump),
+        amplitude_floor=args.amp_floor,
+        max_passes=args.max_passes,
+    )
+    os.makedirs(args.output_dir, exist_ok=True)
+    result = filter_series(data, criteria, cfg)
 
     _write_series(os.path.join(args.output_dir, "filtered.csv"), result.filtered)
     _write_series(os.path.join(args.output_dir, "blocked.csv"), result.blocked)
@@ -217,13 +188,8 @@ def run_filter(args: argparse.Namespace) -> None:
     if not result.diagnostics:
         print("Pass 0: nothing marked, input passed unchanged")
     if args.plot:
-        try:
-            render_svg({"input": data, "filtered": result.filtered,
-                        "blocked": result.blocked},
-                       os.path.join(args.output_dir, "filter.svg"),
-                       title=f"filter of {source}")
-        except OSError as exc:
-            raise CliError(2, str(exc)) from exc
+        render_svg({"input": data, "filtered": result.filtered, "blocked": result.blocked},
+                   os.path.join(args.output_dir, "filter.svg"), title=f"filter of {source}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -235,9 +201,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         (run_decompose if args.command == "decompose" else run_filter)(args)
     except CliError as exc:
-        print(f"fastimd: error: {exc}", file=sys.stderr)
-        return exc.code
+        return _fail(exc.code, exc)
+    except OSError as exc:  # unreadable input, unwritable output
+        return _fail(2, exc)
+    except ValueError as exc:  # a checked precondition, e.g. cyclic extension on open ends
+        return _fail(1, exc)
+    except FloatingPointError as exc:  # values overflowed float64
+        return _fail(3, exc)
     return 0
+
+
+def _fail(code: int, exc: Exception) -> int:
+    print(f"fastimd: error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

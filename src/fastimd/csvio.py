@@ -1,16 +1,22 @@
 """CSV reading and writing for sampled series.
 
-Comma delimiter, period decimal separator, UTF-8. Input may carry an
-optional header line and either two columns (time, value) or a single value
-column, which gets implicit unit-step times 0, 1, 2, ... Output always
-writes a ``time,value`` header and 17 significant digits so a written series
-reads back bit-faithfully.
+Comma delimiter, period decimal separator, UTF-8 (a leading byte-order mark
+is skipped). Input may carry an optional header line and either two columns
+(time, value) or a single value column, which gets implicit unit-step times
+0, 1, 2, ... Output always writes a ``time,value`` header and 17 significant
+digits so a written series reads back bit-faithfully.
+
+Both writers, ``write_csv`` here and ``svgplot.render_svg``, go through one
+atomic path (``_write_atomic``: temp file plus rename) and format their
+number pairs with ``_format_pairs``, a fixed block of rows at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,7 +30,7 @@ def read_csv(path: str) -> TimeSeries:
     times: list[float] = []
     values: list[float] = []
     ncols = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -71,13 +77,31 @@ def _is_number(field: str) -> bool:
 
 def write_csv(series: TimeSeries, path: str) -> None:
     """Write ``time,value`` rows atomically (temp file plus rename)."""
+    rows = _format_pairs("%.17g,%.17g\n", "", series.times, series.values)
+    _write_atomic(path, itertools.chain(["time,value\n"], rows))
+
+
+# Rows formatted per block. Formatting whole arrays at once holds every
+# value as a Python float and its text at the same time.
+_CHUNK = 4096
+
+
+def _format_pairs(fmt: str, sep: str, a: np.ndarray, b: np.ndarray) -> Iterator[str]:
+    """Yield ``sep.join(fmt % (a[i], b[i]) for i in range(len(a)))``, ``_CHUNK`` rows a piece."""
+    flat = np.column_stack((a, b)).ravel()
+    for lo in range(0, len(flat), 2 * _CHUNK):
+        pairs = flat[lo:lo + 2 * _CHUNK].tolist()
+        text = sep.join([fmt] * (len(pairs) // 2)) % tuple(pairs)
+        yield sep + text if lo else text
+
+
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("time,value\n")
-            for t, v in zip(series.times, series.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

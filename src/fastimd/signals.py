@@ -12,8 +12,6 @@ from .series import TimeSeries
 
 __all__ = ["two_cosine", "sinusoid", "random_walk", "riding_wave", "synth", "SYNTH_KINDS"]
 
-SYNTH_KINDS = ("two_cosine", "sinusoid", "random_walk", "riding_wave")
-
 
 def _grid(span: float, step: float) -> np.ndarray:
     if step <= 0.0:
@@ -69,14 +67,17 @@ def riding_wave(span: float = 600.0, step: float = 0.5) -> TimeSeries:
     )
 
 
+_GENERATORS = {
+    "two_cosine": two_cosine,
+    "sinusoid": sinusoid,
+    "random_walk": random_walk,
+    "riding_wave": riding_wave,
+}
+SYNTH_KINDS = tuple(_GENERATORS)
+
+
 def synth(kind: str, **params) -> TimeSeries:
     """Build a named synthetic signal; unknown names raise."""
-    generators = {
-        "two_cosine": two_cosine,
-        "sinusoid": sinusoid,
-        "random_walk": random_walk,
-        "riding_wave": riding_wave,
-    }
-    if kind not in generators:
+    if kind not in _GENERATORS:
         raise ValueError(f"unknown synthetic signal {kind!r}; pick one of {SYNTH_KINDS}")
-    return generators[kind](**params)
+    return _GENERATORS[kind](**params)

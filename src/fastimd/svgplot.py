@@ -6,12 +6,11 @@ the input, so identical calls produce byte-identical files.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import Mapping
 
 import numpy as np
 
+from .csvio import _format_pairs, _write_atomic
 from .series import TimeSeries
 
 __all__ = ["render_svg"]
@@ -101,7 +100,7 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     for k, label in enumerate(labels):
         s = series_set[label]
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(s.times, s.values))
+        pts = "".join(_format_pairs("%.2f,%.2f", " ", sx(s.times), sy(s.values)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
         )
@@ -117,7 +116,7 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
         )
 
     parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")
+    _write_atomic(path, (part + "\n" for part in parts))
 
 
 def _fmt(x: float) -> str:
@@ -127,15 +126,3 @@ def _fmt(x: float) -> str:
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-
-def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -1,9 +1,10 @@
 """Tests for the command-line front end and CSV handling.
 
 Exit code contract: 0 success, 1 invalid arguments, 2 I/O failure, 3
-non-finite output.  The per-mode diagnostics line is pinned character by
-character; everything else goes through ``main()`` in process, with one
-subprocess check that the module entry point behaves the same.
+numeric failure (non-finite output, or values that overflow float64).  The
+per-mode diagnostics line is pinned character by character; everything else
+goes through ``main()`` in process, with one subprocess check that the module
+entry point behaves the same.
 """
 
 import re
@@ -16,6 +17,7 @@ import pytest
 
 from fastimd import TimeSeries, random_walk, read_csv, two_cosine, write_csv
 from fastimd.cli import CliError, _write_series, format_mode_line, main
+from fastimd.csvio import _CHUNK
 
 MODE_LINE = re.compile(
     r"^IMF component \d+, Extrema count: \d+, "
@@ -77,6 +79,42 @@ def test_csv_skips_blank_lines(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("0,1\n\n1,2\n\n")
     assert len(read_csv(str(p))) == 2
+
+
+@pytest.mark.parametrize("header", ["", "time,value\n"])
+def test_csv_reads_byte_order_mark(tmp_path, capsys, header):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    body = header + "0,1\n1,-2.5\n2,3\n3,-1\n4,2\n5,0.5\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(body, encoding="utf-8")
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    want = read_csv(str(plain))
+    got = read_csv(str(marked))
+    npt.assert_array_equal(got.times, want.times)
+    npt.assert_array_equal(got.values, want.values)
+    assert main(["decompose", "--input", str(marked),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
+def _reference_csv_text(times, values) -> str:
+    """``write_csv``'s output as it was formatted one row at a time."""
+    rows = "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(times, values))
+    return "time,value\n" + rows
+
+
+@pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_csv_bytes_match_per_row_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    times = -50.0 + np.cumsum(rng.uniform(1e-3, 2.0, n))  # irregular grid
+    values = rng.normal(scale=1e3, size=n)
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    values[:min(n, len(specials))] = specials[:n]
+    values[-1] = -0.0
+    path = tmp_path / "pin.csv"
+    write_csv(TimeSeries(times, values), str(path))
+    assert path.read_bytes() == _reference_csv_text(times, values).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +284,16 @@ def test_exit_2_on_io_failure(tmp_path, capsys):
     assert main(["decompose", "--synth", "two_cosine",
                  "--output-dir", str(blocker / "sub")]) == 2
     capsys.readouterr()
+    # the chart path is taken by a directory: the rename fails after the CSVs are written
+    for command, chart in (("decompose", "decomposition.svg"), ("filter", "filter.svg")):
+        out = tmp_path / command
+        (out / chart).mkdir(parents=True)
+        assert main([command, "--synth", "two_cosine", "--plot",
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fastimd: error:")
+        assert not list(out.glob("*.tmp"))
 
 
 def test_exit_3_on_non_finite_output(tmp_path):
