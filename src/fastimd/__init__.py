@@ -45,11 +45,13 @@ from .svgplot import render_svg
 
 __version__ = "0.1.0"
 
+# initial_residue, refine_once, edge_jump_times, inflection_control_points
+# and EXTENSION_VARIANTS are steps of the public calls; they stay importable
+# here but are not part of the public surface
 __all__ = [
     "CubicSpline",
     "DecompositionResult",
     "EXTENSION_KINDS",
-    "EXTENSION_VARIANTS",
     "Extrema",
     "Extremum",
     "FilterCriteria",
@@ -65,19 +67,15 @@ __all__ = [
     "count_zero_crossings",
     "decompose",
     "differentiate",
-    "edge_jump_times",
     "extend",
     "extract_mode",
     "filter_series",
     "find_extrema",
     "imf_report",
-    "inflection_control_points",
-    "initial_residue",
     "mark_extrema",
     "median_points",
     "random_walk",
     "read_csv",
-    "refine_once",
     "render_svg",
     "riding_wave",
     "sinusoid",

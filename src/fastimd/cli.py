@@ -80,7 +80,6 @@ def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_refinement_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-modes", type=int, default=16)
     sub.add_argument("--max-iters", type=int, default=12)
     sub.add_argument("--delta-tol", type=float, default=None,
                      help="absolute stop tolerance; default 1e-3 of the value range")
@@ -94,6 +93,7 @@ def build_parser() -> _Parser:
     dec = commands.add_parser("decompose", help="split a series into modes and a residue")
     _add_io_arguments(dec)
     _add_refinement_arguments(dec)
+    dec.add_argument("--max-modes", type=int, default=16)
     dec.add_argument("--init", choices=("derivative", "data"), default="derivative",
                      help="initial residue: derivative inflection points, or the data itself")
 

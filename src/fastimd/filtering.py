@@ -54,11 +54,11 @@ class FilterCriteria:
             if not lo < hi:
                 raise ValueError(f"jump-time block [{lo}, {hi}) is empty")
         object.__setattr__(self, "jump_time_blocks", blocks)
-        if self.amplitude_floor < 0.0:
+        if not self.amplitude_floor >= 0.0:
             raise ValueError("amplitude_floor must be nonnegative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
-        if self.settle_tolerance is not None and self.settle_tolerance < 0.0:
+        if self.settle_tolerance is not None and not self.settle_tolerance >= 0.0:
             raise ValueError("settle_tolerance must be nonnegative")
 
     def resolve_settle_tolerance(self, data: TimeSeries) -> float:
@@ -92,12 +92,17 @@ class FilterPass:
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Kept and removed parts of the input; they sum to it pointwise."""
+    """Kept and removed parts of the input; they sum to it pointwise.
+    ``diagnostics`` holds one entry per pass that bridged marked cycles."""
 
     filtered: TimeSeries
     blocked: TimeSeries
-    passes: int
     diagnostics: tuple[FilterPass, ...]
+
+    @property
+    def passes(self) -> int:
+        """Number of passes that bridged marked cycles."""
+        return len(self.diagnostics)
 
 
 def _padded_extrema(imf: TimeSeries) -> tuple[Extrema, np.ndarray, np.ndarray]:
@@ -189,7 +194,6 @@ def filter_series(
     cfg = replace(cfg, initialization="derivative")
     tol = criteria.resolve_settle_tolerance(data)
     filtered = data
-    passes = 0
     diags: list[FilterPass] = []
     for _ in range(criteria.max_passes):
         mode = extract_mode(filtered, cfg)
@@ -203,8 +207,7 @@ def filter_series(
         change = float(np.max(np.abs(rebuilt.values - filtered.values)))
         diags.append(FilterPass(marked=sum(len(l.extrema) for l in lists), max_change=change))
         filtered = rebuilt
-        passes += 1
         if change < tol:
             break
     blocked = data.with_values(data.values - filtered.values)
-    return FilterResult(filtered, blocked, passes, tuple(diags))
+    return FilterResult(filtered, blocked, tuple(diags))

@@ -22,11 +22,10 @@ from .extension import EXTENSION_KINDS, extend
 from .series import (
     TimeSeries,
     _overflow_checked,
-    differentiate,
     find_extrema,
     inflection_control_points,
 )
-from .spline import CubicSpline, _time_unit, build_spline
+from .spline import _time_unit, build_spline
 
 __all__ = [
     "RefinementConfig",
@@ -64,7 +63,7 @@ class RefinementConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.delta_tolerance is not None and self.delta_tolerance < 0.0:
+        if self.delta_tolerance is not None and not self.delta_tolerance >= 0.0:
             raise ValueError("delta_tolerance must be nonnegative")
         if self.extension not in EXTENSION_KINDS:
             raise ValueError(f"unknown extension kind {self.extension!r}")
@@ -83,18 +82,32 @@ class ModeComponent:
     diagnostics.
 
     ``imf.values + residue.values`` equals the level's input pointwise.
-    ``delta_history`` records the max residue change of every refinement
-    pass that ran, including any discarded final pass.
+    ``iterations`` counts the kept refinement passes. ``delta_history``
+    records the max residue change of every pass that ran, including any
+    discarded final pass; ``delta_time`` is where the last kept pass changed
+    the residue most.
     """
 
     imf: TimeSeries
     residue: TimeSeries
     iterations: int
-    final_delta: float
     delta_time: float
-    extrema_count: int
-    value_range: tuple[float, float]
-    delta_history: tuple[float, ...] = ()
+    delta_history: tuple[float, ...]
+
+    @property
+    def final_delta(self) -> float:
+        """The max residue change of the last kept pass."""
+        return self.delta_history[self.iterations - 1]
+
+    @property
+    def extrema_count(self) -> int:
+        """Number of interior extrema of the component; scanned on access."""
+        return len(find_extrema(self.imf))
+
+    @property
+    def value_range(self) -> tuple[float, float]:
+        """The component's smallest and largest value."""
+        return float(self.imf.values.min()), float(self.imf.values.max())
 
 
 @dataclass(frozen=True)
@@ -158,21 +171,23 @@ def _chord_midpoints(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def initial_residue(data: TimeSeries, initialization: str = "derivative") -> Optional[TimeSeries]:
-    """Starting residue estimate for one extraction level.
+    """Starting residue estimate for one extraction level, or None when the
+    level holds no component: the data has fewer than three samples or its
+    first derivative has fewer than three extrema.
 
     "derivative": the piecewise-linear interpolant through the curvature
-    turning points of the data, held constant from the outermost turning
-    point to the series edge; None when no turning point exists.
+    turning points of the data (the derivative's extrema), held constant
+    from the outermost turning point to the series edge.
     "data_function": a zero series, so refinement starts from the data
     itself.
     """
-    if initialization == "data_function":
-        return data.with_values(np.zeros(len(data)))
-    if initialization != "derivative":
+    if initialization not in INITIALIZATIONS:
         raise ValueError(f"unknown initialization {initialization!r}")
     ct, cv = inflection_control_points(data)
-    if len(ct) == 0:
+    if len(ct) < 3:
         return None
+    if initialization == "data_function":
+        return data.with_values(np.zeros(len(data)))
     return data.with_values(np.interp(data.times, ct, cv))
 
 
@@ -197,7 +212,7 @@ def refine_once(
     idx = find_extrema(current_imf).index
     if len(idx) < 3:
         return None
-    anchors = _boundary_anchors(data)
+    start, end = (data.times[0], data.values[0]), (data.times[-1], data.values[-1])
     ct = data.times[idx]
     cv = data.values[idx]
     if cfg.extension in ("even", "cyclic"):
@@ -208,13 +223,13 @@ def refine_once(
     # an overflow shows as a non-finite knot or residue, and is reported by
     # the checks below instead of by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        et, ev = extend(ct, cv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
+        et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end)
         mt, mv = median_points(et, ev)
-        # extend the medians the same way so the residue spline reaches the
-        # data boundary; any sample still outside the span holds the end knot
-        st, sv = extend(mt, mv, cfg.extension, start_anchor=anchors[0], end_anchor=anchors[1])
+        # extending the medians the same way puts knots past both data ends
+        # under every extension kind, so the spline covers the whole grid
+        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
         spline = build_spline(st, _overflow_checked(sv))
-        residue_vals = _evaluate_held(spline, data.times)
+        residue_vals = spline.evaluate_on_grid(data.times)
         # the data is finite, so a non-finite residue shows here too
         imf_vals = _overflow_checked(data.values - residue_vals)
     return data.with_values(residue_vals), data.with_values(imf_vals), len(idx)
@@ -226,15 +241,12 @@ def extract_mode(
 ) -> Optional[ModeComponent]:
     """Separate one oscillatory component from the data.
 
-    Returns None when the data has fewer than three samples or its first
-    derivative has fewer than three extrema, meaning nothing oscillatory
+    Returns None when ``initial_residue`` does, meaning nothing oscillatory
     remains. Otherwise refinement runs until the iteration cap, until the
     largest residue change between passes drops under the tolerance, or until
     that change stops shrinking, in which case the previous, better iterate
     is kept.
     """
-    if len(data) < 3 or len(find_extrema(differentiate(data))) < 3:
-        return None
     residue = initial_residue(data, cfg.initialization)
     if residue is None:
         return None
@@ -272,15 +284,11 @@ def extract_mode(
     if imf.spread < _NOISE_FLOOR * data.spread:
         return None
 
-    ext_count = len(find_extrema(imf))
     return ModeComponent(
         imf=imf,
         residue=residue,
         iterations=kept_iter,
-        final_delta=kept_delta,
         delta_time=kept_delta_time,
-        extrema_count=ext_count,
-        value_range=(float(imf.values.min()), float(imf.values.max())),
         delta_history=tuple(history),
     )
 
@@ -313,15 +321,3 @@ def decompose(
         modes.append(mode)
         current = mode.residue
     return DecompositionResult(tuple(modes), current)
-
-
-def _boundary_anchors(data: TimeSeries):
-    start = (float(data.times[0]), float(data.values[0]))
-    end = (float(data.times[-1]), float(data.values[-1]))
-    return start, end
-
-
-def _evaluate_held(spline: CubicSpline, grid: np.ndarray) -> np.ndarray:
-    """Spline values on the grid, holding end knot values outside the span."""
-    lo, hi = spline.span
-    return spline.evaluate_on_grid(np.clip(grid, lo, hi))

@@ -8,7 +8,6 @@ components. Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -122,15 +121,12 @@ class ImfReport:
     """Oscillation diagnostics for a candidate mode component.
 
     ``condition1_ok`` holds when the zero-crossing and extrema counts differ
-    by at most one. ``max_abs_envelope_mean`` is the largest magnitude of the
-    mean of the upper and lower extrema envelopes (natural splines), or None
-    when either side has fewer than two extrema.
+    by at most one.
     """
 
     zero_crossings: int
     extrema_count: int
     condition1_ok: bool
-    max_abs_envelope_mean: Optional[float]
 
 
 def differentiate(s: TimeSeries) -> TimeSeries:
@@ -213,8 +209,7 @@ def inflection_control_points(s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def imf_report(imf: TimeSeries) -> ImfReport:
-    """Check a candidate component against the oscillation-count condition
-    and measure how far its extrema envelopes sit from symmetry.
+    """Check a candidate component against the oscillation-count condition.
 
     Counting here treats a zero-valued extremum as a degenerate cycle that
     exactly touches the mean: it is tallied as a crossing event, not as an
@@ -223,35 +218,16 @@ def imf_report(imf: TimeSeries) -> ImfReport:
     in refined components, and leaving them in either count would misstate
     how the component oscillates. The condition then fails precisely when
     consecutive nonzero extrema sit on the same side of zero.
-
-    The envelope figure is diagnostic only; it is skipped (None) when fewer
-    than two maxima or two minima exist.
     """
-    from .spline import build_spline
-
     # every interior touch or crossing of the zero line is one event: sign
     # flips across zero runs, plus zero runs whose two flanks agree in sign
     signs = np.sign(imf.values)
     nz = np.flatnonzero(signs)
     touches = np.count_nonzero((np.diff(nz) > 1) & (signs[nz[1:]] == signs[nz[:-1]]))
     crossings = count_zero_crossings(imf) + touches
-    ext = find_extrema(imf)
-    max_t, max_v = ext.time[ext.is_max], ext.value[ext.is_max]
-    min_t, min_v = ext.time[~ext.is_max], ext.value[~ext.is_max]
-    envelope_mean: Optional[float] = None
-    if len(max_t) >= 2 and len(min_t) >= 2:
-        upper = build_spline(max_t, max_v)
-        lower = build_spline(min_t, min_v)
-        lo_t = max(max_t[0], min_t[0])
-        hi_t = min(max_t[-1], min_t[-1])
-        grid = imf.times[(imf.times >= lo_t) & (imf.times <= hi_t)]
-        if len(grid) > 0:
-            mean = 0.5 * (upper.evaluate_on_grid(grid) + lower.evaluate_on_grid(grid))
-            envelope_mean = float(np.max(np.abs(mean)))
-    oscillating = int(np.count_nonzero(ext.value))
+    oscillating = int(np.count_nonzero(find_extrema(imf).value))
     return ImfReport(
         zero_crossings=crossings,
         extrema_count=oscillating,
         condition1_ok=abs(crossings - oscillating) <= 1,
-        max_abs_envelope_mean=envelope_mean,
     )

@@ -6,6 +6,8 @@ fully determined by its seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .series import TimeSeries
@@ -14,12 +16,16 @@ __all__ = ["two_cosine", "sinusoid", "random_walk", "riding_wave", "synth", "SYN
 
 
 def _grid(span: float, step: float) -> np.ndarray:
-    if step <= 0.0:
+    # Python floats divide to inf where numpy scalars would warn
+    span, step = float(span), float(step)
+    if not step > 0.0:
         raise ValueError("step must be positive")
-    if span <= 0.0:
+    if not span > 0.0:
         raise ValueError("span must be positive")
-    n = int(round(span / step))
-    return np.arange(n + 1) * step
+    count = span / step
+    if not (math.isfinite(span) and math.isfinite(step) and math.isfinite(count)):
+        raise ValueError(f"span {span!r}, step {step!r} and their ratio must be finite")
+    return np.arange(int(round(count)) + 1) * step
 
 
 def two_cosine(span: float = 900.0, step: float = 1.0) -> TimeSeries:

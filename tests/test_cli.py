@@ -238,6 +238,9 @@ def test_exit_1_on_bad_usage(tmp_path, capsys):
     assert main(["filter", "--synth", "two_cosine", "--block-jump", "5"]) == 1
     assert main(["filter", "--synth", "two_cosine", "--block-jump", "9:3"]) == 1
     capsys.readouterr()
+    # only decompose takes --max-modes
+    assert main(["filter", "--synth", "two_cosine", "--max-modes", "2"]) == 1
+    assert "fastimd: error: unrecognized arguments: --max-modes 2" in capsys.readouterr().err
 
 
 def test_exit_1_on_bad_synth(tmp_path, capsys):
@@ -251,6 +254,23 @@ def test_exit_1_on_bad_synth(tmp_path, capsys):
     assert main(["decompose", "--synth", "two_cosine", "--max-iters", "0",
                  "--output-dir", out]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--synth", "sinusoid", "--span", "inf"],
+    ["decompose", "--synth", "sinusoid", "--span", "1e400"],
+    ["decompose", "--synth", "sinusoid", "--span", "1e300", "--step", "1e-10"],
+    ["decompose", "--synth", "sinusoid", "--step", "inf"],
+    ["decompose", "--synth", "sinusoid", "--span", "nan"],
+    ["decompose", "--synth", "sinusoid", "--delta-tol", "nan"],
+    ["filter", "--synth", "sinusoid", "--delta-tol", "nan"],
+    ["filter", "--synth", "sinusoid", "--amp-floor", "nan"],
+], ids=" ".join)
+def test_exit_1_on_non_finite_argument(tmp_path, capsys, argv):
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fastimd: error:")
 
 
 @pytest.mark.parametrize("command", ["decompose", "filter"])

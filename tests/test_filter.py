@@ -340,6 +340,9 @@ def test_criteria_validation():
         FilterCriteria(max_passes=0)
     with pytest.raises(ValueError):
         FilterCriteria(settle_tolerance=-0.5)
+    for nan_field in ("amplitude_floor", "settle_tolerance"):
+        with pytest.raises(ValueError):
+            FilterCriteria(**{nan_field: float("nan")})
 
 
 def test_criteria_tolerance_resolution():

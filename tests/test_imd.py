@@ -15,8 +15,10 @@ import pytest
 from fastimd import (
     RefinementConfig,
     TimeSeries,
+    build_spline,
     decompose,
     differentiate,
+    extend,
     extract_mode,
     find_extrema,
     imf_report,
@@ -166,6 +168,18 @@ def test_initial_residue_derivative_tracks_slow_part():
     assert np.max(np.abs(r.values)) < 0.05
 
 
+@pytest.mark.parametrize("initialization", ["derivative", "data_function"])
+@pytest.mark.parametrize("turns", [1, 2])
+def test_initial_residue_none_under_three_curvature_turns(turns, initialization):
+    # the derivative of sin over turns + 1 half periods is cos, whose
+    # interior extrema sit at pi, ..., turns * pi
+    t = np.linspace(0.0, (turns + 1) * np.pi, 200)
+    s = TimeSeries(t, np.sin(t))
+    assert len(find_extrema(differentiate(s))) == turns
+    assert initial_residue(s, initialization) is None
+    assert extract_mode(s, RefinementConfig(initialization=initialization)) is None
+
+
 def test_initial_residue_rejects_unknown():
     with pytest.raises(ValueError):
         initial_residue(two_cosine(), "spline")
@@ -190,6 +204,63 @@ def test_refine_once_cosine_fixed_point():
     residue, imf, _ = refine_once(s, s)
     assert np.max(np.abs(residue.values)) < 1e-9
     npt.assert_allclose(imf.values, s.values, atol=1e-9)
+
+
+def _reference_refine_once(data, current_imf, cfg):
+    """One refinement pass that clips the data grid to the spline's knot
+    span before evaluating; ``refine_once`` must match it bit for bit."""
+    idx = find_extrema(current_imf).index
+    if len(idx) < 3:
+        return None
+    start = (float(data.times[0]), float(data.values[0]))
+    end = (float(data.times[-1]), float(data.values[-1]))
+    ct, cv = data.times[idx], data.values[idx]
+    if cfg.extension in ("even", "cyclic"):
+        ct = np.concatenate(([data.times[0]], ct, [data.times[-1]]))
+        cv = np.concatenate(([data.values[0]], cv, [data.values[-1]]))
+    et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end)
+    mt, mv = median_points(et, ev)
+    st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
+    spline = build_spline(st, sv)
+    lo, hi = spline.span
+    residue = spline.evaluate_on_grid(np.clip(data.times, lo, hi))
+    return residue, data.values - residue, len(idx)
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("extension", ["even", "odd", "cyclic"])
+def test_refine_once_matches_clipped_reference(extension):
+    # integer steps in {-1, 0, 1} leave plateaus, uneven spacing an irregular
+    # grid; cyclic extension needs walks whose ends match, and where it still
+    # cannot extend both passes must fail with the same message
+    rng = np.random.default_rng(23)
+    cfg = RefinementConfig(extension=extension)
+    compared = 0
+    for _ in range(30):
+        n = int(rng.integers(20, 400))
+        v = np.cumsum(rng.integers(-1, 2, n)).astype(np.float64)
+        if extension == "cyclic":
+            v[-1] = v[0]
+        data = TimeSeries(np.cumsum(rng.uniform(0.05, 2.0, n)), v)
+        imf = data
+        for _ in range(3):
+            got = _outcome(refine_once, data, imf, cfg)
+            want = _outcome(_reference_refine_once, data, imf, cfg)
+            if want is None or isinstance(want, str):
+                assert got == want
+                break
+            residue, imf, count = got
+            assert residue.values.tobytes() == want[0].tobytes()
+            assert imf.values.tobytes() == want[1].tobytes()
+            assert count == want[2]
+            compared += 1
+    assert compared >= 30
 
 
 def test_refine_once_needs_oscillation():
@@ -369,6 +440,8 @@ def test_config_rejects_bad_fields():
         RefinementConfig(max_iterations=0)
     with pytest.raises(ValueError):
         RefinementConfig(delta_tolerance=-1.0)
+    with pytest.raises(ValueError):
+        RefinementConfig(delta_tolerance=float("nan"))
     with pytest.raises(ValueError):
         RefinementConfig(extension="mirror")
     with pytest.raises(ValueError):
