@@ -173,8 +173,10 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
         knot_v = np.concatenate(([lst.anchor_before[1]], ext.value, [lst.anchor_after[1]]))
         knot_v[1:-1] = np.where(ext.value == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
         bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))
-        mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
-        out[mask] = bridge.evaluate_on_grid(imf.times[mask])
+        # the grid is sorted, so the samples inside the anchors are a slice
+        lo = np.searchsorted(imf.times, knot_t[0], side="left")
+        hi = np.searchsorted(imf.times, knot_t[-1], side="right")
+        out[lo:hi] = bridge.evaluate_on_grid(imf.times[lo:hi])
     return imf.with_values(out)
 
 

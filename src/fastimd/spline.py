@@ -5,6 +5,11 @@ End conditions are either natural (zero second derivative) or clamped
 and solved by cyclic reduction over whole arrays, so construction stays
 linear in the knot count and takes O(log n) numpy steps. Two knots degrade
 to the straight line through them under natural ends.
+
+Evaluation on a sorted grid of n points costs O(n + m log n) for m knots:
+one search of the knots into the grid counts the points per interval, and
+the interval coefficients are repeated over them, with no per-point search
+or gather.
 """
 
 from __future__ import annotations
@@ -73,31 +78,69 @@ class CubicSpline:
         return float(self.evaluate_on_grid([float(x)])[0])
 
     def evaluate_on_grid(self, times: ArrayLike) -> np.ndarray:
-        """Values at an increasing sequence of points inside the knot span."""
+        """Values at a non-decreasing sequence of points inside the knot span.
+
+        One ``searchsorted`` of the m knots into the n grid points counts
+        the points in each knot interval, and each interval's coefficients
+        are repeated over its points, so evaluation costs O(n + m log n)
+        with no per-point search or gather. A point on an interior knot
+        belongs to the interval that starts there, a point on the last knot
+        to the last interval.
+        """
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1:
             raise ValueError("grid must be one-dimensional")
         if len(times) == 0:
             return np.empty(0)
-        if np.any(np.diff(times) < 0.0):
+        # both checks are written to fail on NaN: the interval counts below
+        # are only right on a grid that is ordered throughout
+        if not np.all(np.diff(times) >= 0.0):
             raise ValueError("grid times must be increasing")
-        if times[0] < self.t[0] or times[-1] > self.t[-1]:
+        if not (times[0] >= self.t[0] and times[-1] <= self.t[-1]):
             raise ValueError(
                 f"grid [{times[0]}, {times[-1]}] outside knot span "
                 f"[{self.t[0]}, {self.t[-1]}]"
             )
-        idx = np.searchsorted(self.t, times, side="right") - 1
-        np.clip(idx, 0, len(self.t) - 2, out=idx)
-        return self._piece(idx, times)
-
-    def _piece(self, i, x):
-        # moment form on interval i: exact at both knots by construction
         t, y, m = self.t, self.y, self._m
-        h = t[i + 1] - t[i]
-        a = (t[i + 1] - x) / h
-        b = (x - t[i]) / h
-        h = h / self._unit  # the moments are per squared time unit
-        return a * y[i] + b * y[i + 1] + ((a**3 - a) * m[i] + (b**3 - b) * m[i + 1]) * h**2 / 6.0
+        # points starts[i] .. starts[i + 1] - 1 lie in interval i, and the
+        # last interval runs to the end of the grid
+        starts = np.searchsorted(times, t[:-1], side="left")
+        counts = np.diff(starts, append=len(times))
+        dt = np.diff(t)
+
+        # the moment form on interval i, exact at both knots by construction:
+        # a y[i] + b y[i + 1] + ((a^3 - a) m[i] + (b^3 - b) m[i + 1]) h^2 / 6
+        # with h = t[i + 1] - t[i], a = (t[i + 1] - x) / h, b = (x - t[i]) / h
+        # and h^2 taken in the time unit of the moments; the in-place steps
+        # keep that operation order, and each n-long buffer is dropped as
+        # soon as it is used up
+        h = np.repeat(dt, counts)
+        a = np.repeat(t[1:], counts)
+        a -= times
+        a /= h
+        b = np.repeat(t[:-1], counts)
+        np.subtract(times, b, out=b)
+        b /= h
+        del h
+        out = np.repeat(y[:-1], counts)
+        out *= a
+        term = np.repeat(y[1:], counts)
+        term *= b
+        out += term
+        np.power(a, 3, out=term)
+        term -= a
+        del a
+        term *= np.repeat(m[:-1], counts)
+        curve = b**3
+        curve -= b
+        del b
+        curve *= np.repeat(m[1:], counts)
+        term += curve
+        del curve
+        term *= np.repeat((dt / self._unit) ** 2, counts)
+        term /= 6.0
+        out += term
+        return out
 
 
 def build_spline(

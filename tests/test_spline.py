@@ -186,6 +186,60 @@ def test_grid_evaluation_matches_pointwise():
     assert sp.evaluate_on_grid(np.empty(0)).shape == (0,)
 
 
+def _reference_evaluate(sp, x):
+    """Evaluation as first written: a search per point, clipped to the last
+    interval, then eight gathers into the moment form; ``evaluate_on_grid``
+    must match it bit for bit."""
+    i = np.searchsorted(sp.t, x, side="right") - 1
+    np.clip(i, 0, len(sp.t) - 2, out=i)
+    t, y, m = sp.t, sp.y, sp._m
+    h = t[i + 1] - t[i]
+    a = (t[i + 1] - x) / h
+    b = (x - t[i]) / h
+    h = h / sp._unit
+    return a * y[i] + b * y[i + 1] + ((a**3 - a) * m[i] + (b**3 - b) * m[i + 1]) * h**2 / 6.0
+
+
+def _inside(rng, t, n):
+    return np.sort(rng.uniform(t[0], t[-1], n))
+
+
+def _samples_between_knots(rng, t):
+    # a sample grid cut to the span of knots that fall between samples, as
+    # a filter bridge sees it
+    g = np.arange(np.floor(t[0]) - 3.0, t[-1] + 3.0, 0.37)
+    return g[(g >= t[0]) & (g <= t[-1])]
+
+
+_GRIDS = {
+    "on_knots": lambda rng, t: np.sort(np.concatenate((_inside(rng, t, 40), t[1:-1]))),
+    "repeated": lambda rng, t: np.repeat(_inside(rng, t, 30), rng.integers(1, 4, 30)),
+    "whole_span": lambda rng, t: np.concatenate(([t[0]], _inside(rng, t, 50), [t[-1]])),
+    "between_samples": _samples_between_knots,
+    "empty": lambda rng, t: np.empty(0),
+    "one_point": lambda rng, t: _inside(rng, t, 1),
+    "first_knot": lambda rng, t: t[:1].copy(),
+    "last_knot": lambda rng, t: t[-1:].copy(),
+    # far more knots than points, so most intervals hold no point
+    "empty_intervals": lambda rng, t: np.concatenate(([t[0]], _inside(rng, t, 3), [t[-1]])),
+}
+
+
+@pytest.mark.parametrize("end_condition", ["natural", "clamped"])
+@pytest.mark.parametrize("grid", list(_GRIDS))
+def test_grid_evaluation_is_bit_identical_to_reference(grid, end_condition):
+    rng = np.random.default_rng(41)
+    for knots in [2, 2, 3, 5, 17, 60, 200]:
+        t = np.cumsum(rng.uniform(0.05, 3.0, knots)) + rng.uniform(-50.0, 50.0)
+        y = rng.normal(scale=10.0 ** rng.uniform(-3.0, 3.0), size=knots)
+        slopes = tuple(rng.normal(size=2)) if end_condition == "clamped" else None
+        sp = build_spline(t, y, end_condition, end_slopes=slopes)
+        x = _GRIDS[grid](rng, t)
+        got = sp.evaluate_on_grid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == _reference_evaluate(sp, x).tobytes(), (grid, knots)
+
+
 def test_span_property():
     sp = build_spline([2.0, 5.0, 9.0], [0.0, 1.0, 0.0])
     assert sp.span == (2.0, 9.0)
@@ -220,3 +274,7 @@ def test_rejects_evaluation_outside_span():
         sp.evaluate_on_grid(np.array([-0.5, 1.0]))
     with pytest.raises(ValueError):
         sp.evaluate_on_grid(np.array([1.0, 0.5]))
+    # NaN has no place in an ordered grid
+    for grid in ([np.nan], [0.5, np.nan], [0.5, np.nan, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            sp.evaluate_on_grid(np.array(grid))
