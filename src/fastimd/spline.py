@@ -131,7 +131,7 @@ class CubicSpline:
         term -= a
         del a
         term *= np.repeat(m[:-1], counts)
-        curve = b**3
+        curve = np.power(b, 3)
         curve -= b
         del b
         curve *= np.repeat(m[1:], counts)
