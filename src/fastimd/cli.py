@@ -1,7 +1,7 @@
 """Command-line front end: decompose and filter subcommands.
 
 Exit codes: 0 success, 1 invalid arguments, 2 I/O failure, 3 numeric failure
-(non-finite output, or values that overflow float64).
+(values that overflow float64).
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .csvio import read_csv, write_csv
 from .extension import EXTENSION_KINDS
 from .filtering import FilterCriteria, filter_series
 from .imd import RefinementConfig, decompose
-from .series import TimeSeries
 from .signals import SYNTH_KINDS, synth
 from .svgplot import render_svg
 
@@ -123,6 +120,8 @@ def _load_input(args: argparse.Namespace) -> tuple:
         return synth(args.synth, **params), f"synth:{args.synth}"
     except TypeError as exc:  # a parameter the generator does not take
         raise CliError(1, str(exc)) from exc
+    except MemoryError as exc:  # a grid too long to allocate
+        raise CliError(1, str(exc)) from exc
 
 
 def _refinement_config(args: argparse.Namespace, initialization: str) -> RefinementConfig:
@@ -132,12 +131,6 @@ def _refinement_config(args: argparse.Namespace, initialization: str) -> Refinem
         extension=args.extension,
         initialization=initialization,
     )
-
-
-def _write_series(path: str, series: TimeSeries) -> None:
-    if not np.all(np.isfinite(series.values)):
-        raise CliError(3, f"non-finite values in {os.path.basename(path)}")
-    write_csv(series, path)
 
 
 def run_decompose(args: argparse.Namespace) -> None:
@@ -152,13 +145,12 @@ def run_decompose(args: argparse.Namespace) -> None:
     lines = []
     chart = {"input": data}
     for k, mode in enumerate(result.modes, start=1):
-        _write_series(os.path.join(args.output_dir, f"imf_{k}.csv"), mode.imf)
-        _write_series(os.path.join(args.output_dir, f"residue_{k}.csv"), mode.residue)
+        write_csv(mode.imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
+        write_csv(mode.residue, os.path.join(args.output_dir, f"residue_{k}.csv"))
         lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
                                       mode.iterations, mode.final_delta, mode.delta_time))
         chart[f"imf {k}"] = mode.imf
-    _write_series(os.path.join(args.output_dir, "final_residue.csv"),
-                  result.final_residue)
+    write_csv(result.final_residue, os.path.join(args.output_dir, "final_residue.csv"))
     chart["residue"] = result.final_residue
 
     for line in lines:
@@ -180,8 +172,8 @@ def run_filter(args: argparse.Namespace) -> None:
     os.makedirs(args.output_dir, exist_ok=True)
     result = filter_series(data, criteria, cfg)
 
-    _write_series(os.path.join(args.output_dir, "filtered.csv"), result.filtered)
-    _write_series(os.path.join(args.output_dir, "blocked.csv"), result.blocked)
+    write_csv(result.filtered, os.path.join(args.output_dir, "filtered.csv"))
+    write_csv(result.blocked, os.path.join(args.output_dir, "blocked.csv"))
 
     for p, step in enumerate(result.diagnostics, start=1):
         print(f"Pass {p}: marked {step.marked} extrema, max change {step.max_change:.6f}")

@@ -13,9 +13,12 @@ cyclic
     periodic wrap; requires the first and last control values to agree.
 
 The printed formula set for the cyclic tail mixes an index pair (offset from
-the third-last time, value from the third point). ``variant="strict"`` keeps
-that literal behaviour; ``variant="consistent"`` uses the true periodic
-offset instead. Even and odd are identical under both variants.
+the third-last time, value from the third point). ``variant="consistent"``,
+the default and what refinement uses, places the tail at the true periodic
+offsets, which stay increasing however uneven the control gaps are;
+``variant="strict"`` keeps the printed formula, whose tail times stop
+increasing when the first control gap exceeds the last two together. Even
+and odd are identical under both variants.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def extend(
     *,
     start_anchor: Optional[tuple[float, float]] = None,
     end_anchor: Optional[tuple[float, float]] = None,
-    variant: str = "strict",
+    variant: str = "consistent",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extend control points ``(t, v)`` by two synthetic points per end.
 

@@ -13,12 +13,11 @@ part and the removed part always sum back to the original input.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .imd import RefinementConfig, _chord_midpoints, extract_mode
-from .series import Extrema, TimeSeries, find_extrema
+from .series import Extrema, TimeSeries, _overflow_checked, find_extrema
 from .spline import build_spline
 
 __all__ = [
@@ -40,13 +39,12 @@ class FilterCriteria:
     ``jump_time_blocks`` are half-open [lo, hi) ranges of edge duration to
     block: [0, T) gives a low-pass filter, an interior range a band block.
     ``amplitude_floor`` blocks extrema with 0 < |value| < floor.
-    ``settle_tolerance`` of None resolves to 1e-3 times the input spread.
+    ``max_passes`` caps the filtering passes.
     """
 
     jump_time_blocks: tuple[tuple[float, float], ...] = ()
     amplitude_floor: float = 0.0
     max_passes: int = 8
-    settle_tolerance: Optional[float] = None
 
     def __post_init__(self) -> None:
         blocks = tuple((float(lo), float(hi)) for lo, hi in self.jump_time_blocks)
@@ -58,13 +56,6 @@ class FilterCriteria:
             raise ValueError("amplitude_floor must be nonnegative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
-        if self.settle_tolerance is not None and not self.settle_tolerance >= 0.0:
-            raise ValueError("settle_tolerance must be nonnegative")
-
-    def resolve_settle_tolerance(self, data: TimeSeries) -> float:
-        if self.settle_tolerance is not None:
-            return self.settle_tolerance
-        return 1e-3 * data.spread
 
 
 @dataclass(frozen=True)
@@ -165,18 +156,23 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
     outer neighbours in the extremum sequence, so a run carries all the
     points its medians need. Samples outside every anchor span are copied
     from the component unchanged.
+
+    Raises FloatingPointError when a knot or a bridge overflows float64.
     """
     out = imf.values.copy()
-    for lst in lists:
-        ext = lst.extrema
-        knot_t = np.concatenate(([lst.anchor_before[0]], ext.time, [lst.anchor_after[0]]))
-        knot_v = np.concatenate(([lst.anchor_before[1]], ext.value, [lst.anchor_after[1]]))
-        knot_v[1:-1] = np.where(ext.value == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
-        bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))
-        # the grid is sorted, so the samples inside the anchors are a slice
-        lo = np.searchsorted(imf.times, knot_t[0], side="left")
-        hi = np.searchsorted(imf.times, knot_t[-1], side="right")
-        out[lo:hi] = bridge.evaluate_on_grid(imf.times[lo:hi])
+    # an overflow shows as a non-finite knot or bridge value, and is reported
+    # by the checks below instead of by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lst in lists:
+            ext = lst.extrema
+            knot_t = np.concatenate(([lst.anchor_before[0]], ext.time, [lst.anchor_after[0]]))
+            knot_v = np.concatenate(([lst.anchor_before[1]], ext.value, [lst.anchor_after[1]]))
+            knot_v[1:-1] = np.where(ext.value == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
+            bridge = build_spline(knot_t, _overflow_checked(knot_v), end_slopes=(0.0, 0.0))
+            # the grid is sorted, so the samples inside the anchors are a slice
+            lo = np.searchsorted(imf.times, knot_t[0], side="left")
+            hi = np.searchsorted(imf.times, knot_t[-1], side="right")
+            out[lo:hi] = _overflow_checked(bridge.evaluate_on_grid(imf.times[lo:hi]))
     return imf.with_values(out)
 
 
@@ -191,10 +187,11 @@ def filter_series(
     with derivative initialization, so edge-riding ripples are visible to the
     marking step), bridges the marked cycles, and rebuilds the signal as
     bridged component plus residue. Stops when a pass marks nothing, when
-    the rebuilt signal settles, or at ``max_passes``.
+    the rebuilt signal settles (no sample moves by 1e-3 of the input's
+    spread or more), or at ``max_passes``.
     """
     cfg = replace(cfg, initialization="derivative")
-    tol = criteria.resolve_settle_tolerance(data)
+    tol = 1e-3 * data.spread
     filtered = data
     diags: list[FilterPass] = []
     for _ in range(criteria.max_passes):

@@ -223,16 +223,11 @@ def refine_once(
     # an overflow shows as a non-finite knot or residue, and is reported by
     # the checks below instead of by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # the consistent cyclic tail stays increasing however uneven the
-        # control gaps are, where the strict one fails on most closed series;
-        # even and odd extension are the same under both variants
-        et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end,
-                        variant="consistent")
+        et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end)
         mt, mv = median_points(et, ev)
         # extending the medians the same way puts knots past both data ends
         # under every extension kind, so the spline covers the whole grid
-        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end,
-                        variant="consistent")
+        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
         spline = build_spline(st, _overflow_checked(sv))
         residue_vals = spline.evaluate_on_grid(data.times)
         # the data is finite, so a non-finite residue shows here too

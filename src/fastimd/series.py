@@ -60,8 +60,10 @@ class TimeSeries:
 
     @property
     def spread(self) -> float:
-        """max(values) - min(values); zero for a constant series."""
-        return float(self.values.max() - self.values.min())
+        """max(values) - min(values); zero for a constant series.
+        Raises FloatingPointError when the difference overflows float64."""
+        with np.errstate(over="ignore"):  # reported by the check below
+            return float(_overflow_checked(self.values.max() - self.values.min()))
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """A new series on the same grid.

@@ -49,7 +49,11 @@ def sinusoid(
     if period <= 0.0:
         raise ValueError("period must be positive")
     t = _grid(span, step)
-    return TimeSeries(t, amplitude * np.cos(2.0 * np.pi * t / period + phase))
+    # arguments that overflow or are not finite give non-finite values, which
+    # the series rejects with one ValueError and no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = amplitude * np.cos(2.0 * np.pi * t / period + phase)
+    return TimeSeries(t, values)
 
 
 def random_walk(seed: int = 0, span: float = 1999.0, step: float = 1.0) -> TimeSeries:

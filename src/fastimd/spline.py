@@ -1,7 +1,7 @@
 """Piecewise cubic interpolation over strictly increasing knots.
 
-End conditions are either natural (zero second derivative) or clamped
-(prescribed first derivative at both ends). The moment system is tridiagonal
+The ends are natural (zero second derivative) unless first derivatives are
+prescribed there, which clamps them. The moment system is tridiagonal
 and solved by cyclic reduction over whole arrays, so construction stays
 linear in the knot count and takes O(log n) numpy steps. Two knots degrade
 to the straight line through them under natural ends.
@@ -26,15 +26,16 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 class CubicSpline:
     """Immutable cubic interpolant through the given knots.
 
-    Evaluation outside the knot span is an error; extend the knot set first
-    if boundary coverage is needed.
+    The ends are natural when ``end_slopes`` is None and clamped to the
+    first derivatives ``end_slopes = (start, end)`` otherwise. Evaluation
+    outside the knot span is an error; extend the knot set first if boundary
+    coverage is needed.
     """
 
     def __init__(
         self,
         t: ArrayLike,
         y: ArrayLike,
-        end_condition: str = "natural",
         end_slopes: Optional[tuple[float, float]] = None,
     ):
         t = np.array(t, dtype=np.float64, copy=True)
@@ -47,27 +48,22 @@ class CubicSpline:
             raise ValueError("knots must be finite")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("knot times must be strictly increasing")
-        if end_condition == "natural":
-            if end_slopes is not None:
-                raise ValueError("end_slopes only apply to clamped splines")
-        elif end_condition == "clamped":
-            if end_slopes is None:
-                raise ValueError("clamped splines need end_slopes=(start, end)")
-            end_slopes = (float(end_slopes[0]), float(end_slopes[1]))
-        else:
-            raise ValueError(f"unknown end condition {end_condition!r}")
+        if end_slopes is not None:
+            pair = np.array(end_slopes, dtype=np.float64)
+            if pair.shape != (2,) or not np.all(np.isfinite(pair)):
+                raise ValueError("end_slopes must be two finite numbers (start, end)")
+            end_slopes = (float(pair[0]), float(pair[1]))
         t.flags.writeable = False
         y.flags.writeable = False
         self.t = t
         self.y = y
-        self.end_condition = end_condition
         self.end_slopes = end_slopes
         # the moments are solved and kept in a time unit near the mean knot
         # spacing, so the slopes and right-hand side stay in range however
         # the times are scaled; a power of two rescales without rounding
         self._unit = unit = _time_unit(t)
         slopes = None if end_slopes is None else (end_slopes[0] * unit, end_slopes[1] * unit)
-        self._m = _solve_moments(t / unit, y, end_condition, slopes)
+        self._m = _solve_moments(t / unit, y, slopes)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -146,15 +142,13 @@ class CubicSpline:
 def build_spline(
     t: ArrayLike,
     y: ArrayLike,
-    end_condition: str = "natural",
     end_slopes: Optional[tuple[float, float]] = None,
 ) -> CubicSpline:
-    """Construct a cubic spline through knots ``(t, y)``.
-
-    ``end_condition`` is "natural" or "clamped"; clamped splines take the
-    prescribed first derivatives as ``end_slopes``.
+    """Construct a cubic spline through knots ``(t, y)``: natural ends when
+    ``end_slopes`` is None, ends clamped to the first derivatives
+    ``end_slopes = (start, end)`` otherwise.
     """
-    return CubicSpline(t, y, end_condition, end_slopes)
+    return CubicSpline(t, y, end_slopes)
 
 
 def _time_unit(t: np.ndarray) -> float:
@@ -163,8 +157,9 @@ def _time_unit(t: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp((t[-1] - t[0]) / (len(t) - 1))[1] - 1))
 
 
-def _solve_moments(t, y, end_condition, end_slopes):
-    """Second derivatives at the knots (the spline moments)."""
+def _solve_moments(t, y, end_slopes):
+    """Second derivatives at the knots (the spline moments); natural ends
+    when ``end_slopes`` is None, clamped ends otherwise."""
     n = len(t)
     h = np.diff(t)
     slope = np.diff(y) / h
@@ -179,7 +174,7 @@ def _solve_moments(t, y, end_condition, end_slopes):
     upper[1:-1] = h[1:]
     rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
 
-    if end_condition == "natural":
+    if end_slopes is None:
         diag[0] = 1.0
         diag[-1] = 1.0
     else:

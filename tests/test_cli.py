@@ -1,10 +1,10 @@
 """Tests for the command-line front end and CSV handling.
 
 Exit code contract: 0 success, 1 invalid arguments, 2 I/O failure, 3
-numeric failure (non-finite output, or values that overflow float64).  The
-per-mode diagnostics line is pinned character by character; everything else
-goes through ``main()`` in process, with one subprocess check that the module
-entry point behaves the same.
+numeric failure (values that overflow float64).  The per-mode diagnostics
+line is pinned character by character; everything else goes through
+``main()`` in process, with one subprocess check that the module entry point
+behaves the same.
 """
 
 import re
@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from fastimd import TimeSeries, random_walk, read_csv, two_cosine, write_csv
-from fastimd.cli import CliError, _write_series, format_mode_line, main
+from fastimd.cli import format_mode_line, main
 from fastimd.csvio import _CHUNK
 
 MODE_LINE = re.compile(
@@ -265,7 +265,14 @@ def test_exit_1_on_bad_synth(tmp_path, capsys):
     ["decompose", "--synth", "sinusoid", "--delta-tol", "nan"],
     ["filter", "--synth", "sinusoid", "--delta-tol", "nan"],
     ["filter", "--synth", "sinusoid", "--amp-floor", "nan"],
+    # a grid of 7 PiB or more, which no allocator grants
+    ["decompose", "--synth", "sinusoid", "--span", "1e15"],
+    ["filter", "--synth", "random_walk", "--span", "1e16"],
+    # values that come out non-finite
+    ["decompose", "--synth", "sinusoid", "--phase", "inf"],
+    ["decompose", "--synth", "sinusoid", "--period", "1e-320"],
 ], ids=" ".join)
+@pytest.mark.filterwarnings("error")
 def test_exit_1_on_non_finite_argument(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -316,28 +323,28 @@ def test_exit_2_on_io_failure(tmp_path, capsys):
         assert not list(out.glob("*.tmp"))
 
 
-def test_exit_3_on_non_finite_output(tmp_path):
-    # build a non-finite series behind the constructor's back to simulate
-    # an overflow that happened downstream
-    t = np.arange(3.0)
-    series = TimeSeries.__new__(TimeSeries)
-    object.__setattr__(series, "times", t)
-    object.__setattr__(series, "values", np.array([1.0, np.inf, 2.0]))
-    with pytest.raises(CliError) as err:
-        _write_series(str(tmp_path / "x.csv"), series)
-    assert err.value.code == 3
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command, spread", [("decompose", 1e307), ("filter", 1e308)])
-def test_exit_3_on_overflow(tmp_path, capsys, command, spread):
-    walk = random_walk(3)
-    src = str(tmp_path / "huge.csv")
-    write_csv(walk.with_values(walk.values * (spread / walk.spread)), src)
-    argv = [command, "--input", src, "--output-dir", str(tmp_path / "out")]
-    if command == "filter":
-        argv += ["--block-jump", "0:10"]
+@pytest.mark.parametrize("command, source", [
+    ("decompose", 1e307),
+    ("filter", 1e308),
+    # the filter bridges overflow where the component does not
+    pytest.param("filter", ["--amplitude", "5e307", "--block-jump", "0:20"],
+                 id="filter-sinusoid-5e+307"),
+    # a spread beyond float64
+    pytest.param("decompose", ["--amplitude", "1e308"], id="decompose-sinusoid-1e+308"),
+])
+def test_exit_3_on_overflow(tmp_path, capsys, command, source):
+    if isinstance(source, list):
+        argv = [command, "--synth", "sinusoid", *source]
+    else:
+        # a random walk rescaled to the given spread
+        walk = random_walk(3)
+        src = str(tmp_path / "huge.csv")
+        write_csv(walk.with_values(walk.values * (source / walk.spread)), src)
+        argv = [command, "--input", src]
+        if command == "filter":
+            argv += ["--block-jump", "0:10"]
+    argv += ["--output-dir", str(tmp_path / "out")]
     # the error line is the only signal: any numpy warning fails the test
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()

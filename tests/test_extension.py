@@ -102,8 +102,8 @@ def test_cyclic_tail_variants():
     et, ev = extend(t, v, "cyclic", variant="strict")
     npt.assert_array_equal(et[-2:], [5.0, 7.0])
     npt.assert_array_equal(ev[-2:], [7.0, 9.0])
-    # consistent places it at +2 so the tail is truly periodic
-    et, ev = extend(t, v, "cyclic", variant="consistent")
+    # consistent, the default, places it at +2 so the tail is truly periodic
+    et, ev = extend(t, v, "cyclic")
     npt.assert_array_equal(et[-2:], [5.0, 6.0])
     npt.assert_array_equal(ev[-2:], [7.0, 9.0])
     period = t[-1] - t[0]
@@ -183,10 +183,9 @@ def test_result_is_sorted_and_superset():
                     "end_anchor": (t[-1] + 0.5, 0.0),
                 }
             if kind == "cyclic":
+                # the default, consistent tail never collides on irregular
+                # grids, where the strict one can
                 v[-1] = v[0]
-                # the strict tail can collide on irregular grids; the
-                # consistent variant never does
-                kwargs = {"variant": "consistent"}
             et, ev = extend(t, v, kind, **kwargs)
             assert len(et) == n + 4
             assert np.all(np.diff(et) > 0.0)

@@ -20,6 +20,8 @@ from fastimd import (
     filter_series,
     find_extrema,
     mark_extrema,
+    random_walk,
+    sinusoid,
     two_cosine,
 )
 from fastimd.imd import _chord_midpoints
@@ -219,7 +221,7 @@ def _reference_build_passed_function(imf, runs):
         pos = np.searchsorted(ext.index, index)
         knot_t = np.concatenate(([before[0]], seq_t[pos + 1], [after[0]]))
         knot_v = np.concatenate(([before[1]], medians[pos], [after[1]]))
-        bridge = build_spline(knot_t, knot_v, "clamped", end_slopes=(0.0, 0.0))
+        bridge = build_spline(knot_t, knot_v, end_slopes=(0.0, 0.0))
         mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
         out[mask] = bridge.evaluate_on_grid(imf.times[mask])
     return out
@@ -339,13 +341,25 @@ def test_criteria_validation():
     with pytest.raises(ValueError):
         FilterCriteria(max_passes=0)
     with pytest.raises(ValueError):
-        FilterCriteria(settle_tolerance=-0.5)
-    for nan_field in ("amplitude_floor", "settle_tolerance"):
-        with pytest.raises(ValueError):
-            FilterCriteria(**{nan_field: float("nan")})
+        FilterCriteria(amplitude_floor=float("nan"))
 
 
 def test_criteria_tolerance_resolution():
-    s = two_cosine()
-    assert FilterCriteria().resolve_settle_tolerance(s) == pytest.approx(1e-3 * s.spread)
-    assert FilterCriteria(settle_tolerance=0.75).resolve_settle_tolerance(s) == 0.75
+    # the filter settles at the first pass that moves no sample by 1e-3 of
+    # the input's spread, before the pass cap and while marks remain
+    s = random_walk(1)
+    criteria = FilterCriteria(jump_time_blocks=((0.0, 10.0),))
+    res = filter_series(s, criteria)
+    changes = [d.max_change for d in res.diagnostics]
+    assert res.passes < criteria.max_passes
+    assert min(changes[:-1]) >= 1e-3 * s.spread > changes[-1]
+    assert mark_extrema(extract_mode(res.filtered).imf, criteria)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_bridges_raise():
+    # the bridge moments overflow float64 where the component itself does
+    # not; the error says so, with no numpy warning on the way
+    criteria = FilterCriteria(jump_time_blocks=((0.0, 20.0),))
+    with pytest.raises(FloatingPointError, match="values overflowed float64"):
+        filter_series(sinusoid(amplitude=5e307), criteria)

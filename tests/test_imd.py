@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from fastimd import (
+    FilterCriteria,
     RefinementConfig,
     TimeSeries,
     build_spline,
@@ -20,12 +21,14 @@ from fastimd import (
     differentiate,
     extend,
     extract_mode,
+    filter_series,
     find_extrema,
     imf_report,
     initial_residue,
     median_points,
     random_walk,
     refine_once,
+    sinusoid,
     turning_directions,
     two_cosine,
 )
@@ -435,6 +438,16 @@ def test_overflow_raises_one_documented_error():
         fine = TimeSeries(huge.times * 1e-3, huge.values)
         with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
             decompose(fine)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spread_beyond_float64_raises_the_documented_error():
+    # max - min of values near +-1e308 overflows; an infinite spread would
+    # make every tolerance infinite and stop each level after one pass
+    s = sinusoid(amplitude=1e308)
+    for run in (decompose, extract_mode, lambda d: filter_series(d, FilterCriteria())):
+        with pytest.raises(FloatingPointError, match="overflowed float64.*rescale"):
+            run(s)
 
 
 @pytest.mark.parametrize("spread", [1e300, 1e305])
