@@ -152,10 +152,10 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
 
     Knots for a run are its extrema's median points on the component (the
     extremum itself where its value is exactly zero) with the two anchors as
-    end knots; end slopes are clamped to zero. The anchors are each run's
-    outer neighbours in the extremum sequence, so a run carries all the
-    points its medians need. Samples outside every anchor span are copied
-    from the component unchanged.
+    end knots; the bridge's ends are flat (zero slope). The anchors are each
+    run's outer neighbours in the extremum sequence, so a run carries all
+    the points its medians need. Samples outside every anchor span are
+    copied from the component unchanged.
 
     Raises FloatingPointError when a knot or a bridge overflows float64.
     """
@@ -168,7 +168,7 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
             knot_t = np.concatenate(([lst.anchor_before[0]], ext.time, [lst.anchor_after[0]]))
             knot_v = np.concatenate(([lst.anchor_before[1]], ext.value, [lst.anchor_after[1]]))
             knot_v[1:-1] = np.where(ext.value == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
-            bridge = build_spline(knot_t, _overflow_checked(knot_v), end_slopes=(0.0, 0.0))
+            bridge = build_spline(knot_t, _overflow_checked(knot_v), flat_ends=True)
             # the grid is sorted, so the samples inside the anchors are a slice
             lo = np.searchsorted(imf.times, knot_t[0], side="left")
             hi = np.searchsorted(imf.times, knot_t[-1], side="right")

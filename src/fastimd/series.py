@@ -174,9 +174,10 @@ def find_extrema(s: TimeSeries) -> Extrema:
     record.
     """
     v = s.values
-    steps = np.diff(v)
-    moves = np.flatnonzero(steps)
-    rising = steps[moves] > 0.0
+    # neighbours are compared, not subtracted, so values near the float64
+    # limit cannot overflow
+    moves = np.flatnonzero(v[1:] != v[:-1])
+    rising = (v[1:] > v[:-1])[moves]
     # consecutive nonzero steps that change direction enclose one run of
     # equal values: samples moves[k] + 1 through moves[k + 1]
     turn = np.flatnonzero(rising[:-1] != rising[1:])

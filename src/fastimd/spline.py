@@ -1,10 +1,10 @@
 """Piecewise cubic interpolation over strictly increasing knots.
 
-The ends are natural (zero second derivative) unless first derivatives are
-prescribed there, which clamps them. The moment system is tridiagonal
-and solved by cyclic reduction over whole arrays, so construction stays
-linear in the knot count and takes O(log n) numpy steps. Two knots degrade
-to the straight line through them under natural ends.
+The ends are natural (zero second derivative), or flat (zero first
+derivative) on request. The moment system is tridiagonal and solved by
+cyclic reduction over whole arrays, so construction stays linear in the
+knot count and takes O(log n) numpy steps. Two knots degrade to the
+straight line through them under natural ends.
 
 Evaluation on a sorted grid of n points costs O(n + m log n) for m knots:
 one search of the knots into the grid counts the points per interval, and
@@ -14,7 +14,7 @@ or gather.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,18 +26,12 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 class CubicSpline:
     """Immutable cubic interpolant through the given knots.
 
-    The ends are natural when ``end_slopes`` is None and clamped to the
-    first derivatives ``end_slopes = (start, end)`` otherwise. Evaluation
-    outside the knot span is an error; extend the knot set first if boundary
-    coverage is needed.
+    The ends are natural, or flat (clamped to zero slope) when ``flat_ends``
+    is true. Evaluation outside the knot span is an error; extend the knot
+    set first if boundary coverage is needed.
     """
 
-    def __init__(
-        self,
-        t: ArrayLike,
-        y: ArrayLike,
-        end_slopes: Optional[tuple[float, float]] = None,
-    ):
+    def __init__(self, t: ArrayLike, y: ArrayLike, flat_ends: bool = False):
         t = np.array(t, dtype=np.float64, copy=True)
         y = np.array(y, dtype=np.float64, copy=True)
         if t.ndim != 1 or y.ndim != 1 or t.shape != y.shape:
@@ -48,26 +42,15 @@ class CubicSpline:
             raise ValueError("knots must be finite")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("knot times must be strictly increasing")
-        if end_slopes is not None:
-            pair = np.array(end_slopes, dtype=np.float64)
-            if pair.shape != (2,) or not np.all(np.isfinite(pair)):
-                raise ValueError("end_slopes must be two finite numbers (start, end)")
-            end_slopes = (float(pair[0]), float(pair[1]))
         t.flags.writeable = False
         y.flags.writeable = False
         self.t = t
         self.y = y
-        self.end_slopes = end_slopes
         # the moments are solved and kept in a time unit near the mean knot
         # spacing, so the slopes and right-hand side stay in range however
         # the times are scaled; a power of two rescales without rounding
-        self._unit = unit = _time_unit(t)
-        slopes = None if end_slopes is None else (end_slopes[0] * unit, end_slopes[1] * unit)
-        self._m = _solve_moments(t / unit, y, slopes)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.t[0]), float(self.t[-1])
+        self._unit = _time_unit(t)
+        self._m = _solve_moments(t / self._unit, y, flat_ends)
 
     def evaluate(self, x: float) -> float:
         """Value of the interpolant at one point inside the knot span."""
@@ -139,16 +122,11 @@ class CubicSpline:
         return out
 
 
-def build_spline(
-    t: ArrayLike,
-    y: ArrayLike,
-    end_slopes: Optional[tuple[float, float]] = None,
-) -> CubicSpline:
-    """Construct a cubic spline through knots ``(t, y)``: natural ends when
-    ``end_slopes`` is None, ends clamped to the first derivatives
-    ``end_slopes = (start, end)`` otherwise.
+def build_spline(t: ArrayLike, y: ArrayLike, flat_ends: bool = False) -> CubicSpline:
+    """Construct a cubic spline through knots ``(t, y)``: natural ends, or
+    ends clamped to zero slope when ``flat_ends`` is true.
     """
-    return CubicSpline(t, y, end_slopes)
+    return CubicSpline(t, y, flat_ends)
 
 
 def _time_unit(t: np.ndarray) -> float:
@@ -157,9 +135,9 @@ def _time_unit(t: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp((t[-1] - t[0]) / (len(t) - 1))[1] - 1))
 
 
-def _solve_moments(t, y, end_slopes):
-    """Second derivatives at the knots (the spline moments); natural ends
-    when ``end_slopes`` is None, clamped ends otherwise."""
+def _solve_moments(t, y, flat_ends):
+    """Second derivatives at the knots (the spline moments); natural ends,
+    or ends clamped to zero slope when ``flat_ends`` is true."""
     n = len(t)
     h = np.diff(t)
     slope = np.diff(y) / h
@@ -174,17 +152,17 @@ def _solve_moments(t, y, end_slopes):
     upper[1:-1] = h[1:]
     rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
 
-    if end_slopes is None:
-        diag[0] = 1.0
-        diag[-1] = 1.0
-    else:
-        s0, s1 = end_slopes
+    if flat_ends:
         diag[0] = 2.0 * h[0]
         upper[0] = h[0]
-        rhs[0] = 6.0 * (slope[0] - s0)
+        rhs[0] = 6.0 * slope[0]
         diag[-1] = 2.0 * h[-1]
         lower[-1] = h[-1]
-        rhs[-1] = 6.0 * (s1 - slope[-1])
+        # 6 (0 - slope), not -6 slope: a zero slope of either sign gives +0.0
+        rhs[-1] = 6.0 * (0.0 - slope[-1])
+    else:
+        diag[0] = 1.0
+        diag[-1] = 1.0
 
     return _cyclic_reduction(lower, diag, upper, rhs)
 

@@ -32,6 +32,7 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 36
 _MARGIN_BOTTOM = 44
+_HALF_MAX = 0.5 * float(np.finfo(np.float64).max)
 
 
 def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "") -> None:
@@ -43,13 +44,20 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     t_hi = max(float(s.times[-1]) for s in series_set.values())
     v_lo = min(float(s.values.min()) for s in series_set.values())
     v_hi = max(float(s.values.max()) for s in series_set.values())
+    # the value axis works in halves of values of magnitude one or more, so
+    # its range, pad and ticks stay finite up to the float64 limit; halving
+    # them is exact, and the padded axis is cut at the limit it would pass
+    scale = 0.5 if max(-v_lo, v_hi) >= 1.0 else 1.0
+    v_lo, v_hi = scale * v_lo, scale * v_hi
     if t_hi == t_lo:
         t_hi = t_lo + 1.0
     if v_hi == v_lo:
-        v_lo, v_hi = v_lo - 1.0, v_hi + 1.0
+        # one unit either side, or the value's own size where a unit is lost in it
+        step = scale if v_lo - scale != v_lo else abs(v_lo)
+        v_lo, v_hi = v_lo - step, v_hi + step
     pad = 0.05 * (v_hi - v_lo)
-    v_lo -= pad
-    v_hi += pad
+    v_lo = max(v_lo - pad, -_HALF_MAX)
+    v_hi = min(v_hi + pad, _HALF_MAX)
 
     x0, x1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
     y0, y1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
@@ -58,7 +66,7 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
         return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
 
     def sy(v: float) -> float:
-        return y0 + (v - v_lo) / (v_hi - v_lo) * (y1 - y0)
+        return y0 + (scale * v - v_lo) / (v_hi - v_lo) * (y1 - y0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -83,7 +91,8 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
             f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
         )
-    for v in np.linspace(v_lo, v_hi, 6):
+    for tick in np.linspace(v_lo, v_hi, 6):
+        v = tick / scale
         y = sy(v)
         parts.append(f'<line x1="{x0 - 5}" y1="{y:.2f}" x2="{x0}" y2="{y:.2f}" stroke="#888888"/>')
         parts.append(

@@ -187,6 +187,18 @@ def test_decompose_synth_params(tmp_path, capsys):
     assert (out / "final_residue.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_decompose_plot_near_the_float64_limit(tmp_path, capsys):
+    src = tmp_path / "big.csv"
+    src.write_text("0,-8.9e307\n1,8.9e307\n")
+    out = tmp_path / "out"
+    code = main(["decompose", "--input", str(src), "--output-dir", str(out), "--plot"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    svg = (out / "decomposition.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+
+
 # ---------------------------------------------------------------------------
 # filter subcommand
 # ---------------------------------------------------------------------------

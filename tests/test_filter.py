@@ -221,7 +221,7 @@ def _reference_build_passed_function(imf, runs):
         pos = np.searchsorted(ext.index, index)
         knot_t = np.concatenate(([before[0]], seq_t[pos + 1], [after[0]]))
         knot_v = np.concatenate(([before[1]], medians[pos], [after[1]]))
-        bridge = build_spline(knot_t, knot_v, end_slopes=(0.0, 0.0))
+        bridge = build_spline(knot_t, knot_v, flat_ends=True)
         mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
         out[mask] = bridge.evaluate_on_grid(imf.times[mask])
     return out

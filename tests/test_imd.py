@@ -227,7 +227,7 @@ def _reference_refine_once(data, current_imf, cfg):
     st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end,
                     variant="consistent")
     spline = build_spline(st, sv)
-    lo, hi = spline.span
+    lo, hi = spline.t[0], spline.t[-1]
     residue = spline.evaluate_on_grid(np.clip(data.times, lo, hi))
     return residue, data.values - residue, len(idx)
 
@@ -462,6 +462,18 @@ def test_mode_count_is_time_scale_free(spread):
         for scale in (1e-3, 1.0, 1e3, 1e6):
             got = len(decompose(TimeSeries(large.times * scale, large.values)).modes)
             assert got == want, scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_derivative_near_the_float64_limit_runs_without_warning():
+    # on a fine grid the derivative of this walk comes within a factor of
+    # two of the float64 limit, so its steps overflow; the extremum scan
+    # compares neighbours instead, and both runs succeed without a warning
+    walk = random_walk(11, span=1999)
+    large = TimeSeries(walk.times * 1e-3, walk.values * (10**306.5 / walk.spread))
+    assert len(decompose(large).modes) > 0
+    res = filter_series(large, FilterCriteria(jump_time_blocks=((0.0, 0.02),)))
+    assert res.diagnostics and np.all(np.isfinite(res.filtered.values))
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,17 @@ def test_extrema_match_reference_on_plateaus():
         _check_against_reference(TimeSeries(np.arange(float(n)), v))
 
 
+@pytest.mark.filterwarnings("error")
+def test_extrema_near_the_float64_limit_match_reference():
+    # steps between plateaus of opposite sign overflow float64 where the
+    # values do not; the scan must find the same extrema with no warning
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        n = int(rng.integers(2, 61))
+        v = rng.integers(-2, 3, n) * 8e307
+        _check_against_reference(TimeSeries(np.arange(float(n)), v))
+
+
 def test_extrema_match_reference_on_walks():
     for seed in range(4):
         walk = random_walk(seed)

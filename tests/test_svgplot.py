@@ -43,6 +43,24 @@ def test_svg_escapes_markup(tmp_path):
     assert "x<y" not in text
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [(-8.9e307, 8.9e307), (-1.7e308, 1.7e308), (1e200, 1e200)],
+                         ids=["edge", "limit", "flat"])
+def test_svg_of_large_values_is_finite(tmp_path, values):
+    # the value range, its 5% pad and the ticks pass the float64 limit in
+    # the first two, and one unit either side is lost in the flat one; the
+    # chart must stay finite, with no warning on the way
+    path = tmp_path / "big.svg"
+    render_svg({"big": TimeSeries(np.array([0.0, 1.0]), np.array(values))}, str(path))
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    # the line runs up through the plot box, or level across its middle
+    points = re.findall(r'points="([^"]*)"', text)[0].split()
+    (_, first), (_, last) = (map(float, p.split(",")) for p in points)
+    assert svgplot._MARGIN_TOP <= last <= first <= svgplot._HEIGHT - svgplot._MARGIN_BOTTOM
+    assert (last < first) == (values[1] > values[0])
+
+
 def test_svg_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         render_svg({}, str(tmp_path / "never.svg"))
