@@ -48,7 +48,7 @@ class TimeSeries:
             raise ValueError("a series needs at least 2 samples")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
             raise ValueError("times and values must be finite")
-        if not np.all(np.diff(times) > 0.0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         times.flags.writeable = False
         values.flags.writeable = False

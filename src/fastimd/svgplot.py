@@ -2,6 +2,10 @@
 
 One polyline per series, shared axes, a small legend. Output depends only on
 the input, so identical calls produce byte-identical files.
+
+Both axes stay finite up to the float64 limit, and every point lies in the
+plot box. Point coordinates are formatted as ``%.2f`` would format them,
+from arrays, one block of ``_CHUNK`` points at a time.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .csvio import _format_pairs, _write_atomic
+from .csvio import _CHUNK, _write_atomic
 from .series import TimeSeries
 
 __all__ = ["render_svg"]
@@ -44,13 +48,14 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     t_hi = max(float(s.times[-1]) for s in series_set.values())
     v_lo = min(float(s.values.min()) for s in series_set.values())
     v_hi = max(float(s.values.max()) for s in series_set.values())
-    # the value axis works in halves of values of magnitude one or more, so
-    # its range, pad and ticks stay finite up to the float64 limit; halving
-    # them is exact, and the padded axis is cut at the limit it would pass
+    # both axes work in halves of coordinates of magnitude one or more, so
+    # their ranges, pads and ticks stay finite up to the float64 limit;
+    # halving them is exact, and the padded value axis is cut at the limit
+    # it would pass. Series hold two increasing times, so t_hi > t_lo
+    t_scale = 0.5 if max(-t_lo, t_hi) >= 1.0 else 1.0
+    t_lo, t_hi = t_scale * t_lo, t_scale * t_hi
     scale = 0.5 if max(-v_lo, v_hi) >= 1.0 else 1.0
     v_lo, v_hi = scale * v_lo, scale * v_hi
-    if t_hi == t_lo:
-        t_hi = t_lo + 1.0
     if v_hi == v_lo:
         # one unit either side, or the value's own size where a unit is lost in it
         step = scale if v_lo - scale != v_lo else abs(v_lo)
@@ -63,7 +68,7 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     y0, y1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 
     def sx(t: float) -> float:
-        return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
+        return x0 + (t_scale * t - t_lo) / (t_hi - t_lo) * (x1 - x0)
 
     def sy(v: float) -> float:
         return y0 + (scale * v - v_lo) / (v_hi - v_lo) * (y1 - y0)
@@ -84,7 +89,8 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>'
     )
-    for t in np.linspace(t_lo, t_hi, 6):
+    for tick in np.linspace(t_lo, t_hi, 6):
+        t = tick / t_scale
         x = sx(t)
         parts.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 5}" stroke="#888888"/>')
         parts.append(
@@ -109,7 +115,7 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     for k, label in enumerate(labels):
         s = series_set[label]
         color = _PALETTE[k % len(_PALETTE)]
-        pts = "".join(_format_pairs("%.2f,%.2f", " ", sx(s.times), sy(s.values)))
+        pts = _points_text(sx(s.times), sy(s.values))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
         )
@@ -126,6 +132,43 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
 
     parts.append("</svg>")
     _write_atomic(path, (part + "\n" for part in parts))
+
+
+def _points_text(x: np.ndarray, y: np.ndarray) -> str:
+    """``" ".join("%.2f,%.2f" % (x[i], y[i]) for i in range(len(x)))``, built
+    as bytes one block of ``_CHUNK`` points at a time; coordinates lie in
+    [0, 2**52)."""
+    blocks = []
+    for lo in range(0, len(x), _CHUNK):
+        text = np.hstack((_cents_text(x[lo:lo + _CHUNK], b","),
+                          _cents_text(y[lo:lo + _CHUNK], b" ")))
+        text[-1, -1] = 0  # the join below puts the separator between blocks
+        blocks.append(text[text != 0].tobytes().decode("ascii"))
+    return " ".join(blocks)
+
+
+def _cents_text(v: np.ndarray, end: bytes) -> np.ndarray:
+    """One row of ASCII bytes per value: ``"%.2f" % v[i]`` and ``end``, right
+    aligned, with zero bytes where the widest row has more digits."""
+    # %.2f rounds 100 v on its exact binary value, ties to even. v is m 2**-s
+    # for a 53-bit integer m, so 100 m < 2**60 and the rounding is in integers;
+    # cutting s at 62 still rounds every v below 2**-10 to 0
+    mantissa, exponent = np.frexp(v)
+    hundred_m = (mantissa * 2.0 ** 53).astype(np.int64) * 100
+    s = np.minimum(53 - exponent, 62).astype(np.int64)
+    cents = (hundred_m + (1 << (s - 1)) - 1 + ((hundred_m >> s) & 1)) >> s
+    whole, frac = np.divmod(cents, 100)
+    width = len(str(int(whole.max())))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = (whole[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    digits[(whole[:, None] < powers) & (powers > 1)] = 0  # no leading zeros
+    text = np.empty((len(v), width + 4), dtype=np.uint8)
+    text[:, :width] = digits
+    text[:, width] = ord(".")
+    text[:, width + 1] = frac // 10 + ord("0")
+    text[:, width + 2] = frac % 10 + ord("0")
+    text[:, width + 3] = ord(end)
+    return text
 
 
 def _fmt(x: float) -> str:

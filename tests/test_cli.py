@@ -10,12 +10,16 @@ behaves the same.
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fastimd import TimeSeries, random_walk, read_csv, two_cosine, write_csv
+from fastimd import csvio, svgplot
 from fastimd.cli import format_mode_line, main
 from fastimd.csvio import _CHUNK
 
@@ -96,6 +100,95 @@ def test_csv_reads_byte_order_mark(tmp_path, capsys, header):
     assert main(["decompose", "--input", str(marked),
                  "--output-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
+
+
+_SPECIAL_FIELDS = st.sampled_from([
+    "", "x", "time", "1.5.2", "0x10", "1e400", "-1e400", "nan", "-inf", "Infinity",
+    "1_0", "\u0661\u0662", "\uff13", "1e-320", ".5", "5.", "+7", "-0.0", "2.5E3",
+])
+_PADS = st.sampled_from(["", "", "", " ", "\t", "\x0c", "\u00a0", "\u2003"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text near the reader's rules: a byte-order mark, a header, blank
+    and space-only lines, three kinds of line end, 1-3 columns, trailing
+    commas, and special or non-ASCII numbers. A share of the rows (none in
+    some files) is irregular, so both clean and faulty files are drawn."""
+    ncols = draw(st.sampled_from([1, 2, 2, 3]))
+    noise = draw(st.sampled_from([0, 0, 5, 30]))  # percent of irregular fields and lines
+
+    def irregular():
+        return draw(st.integers(0, 99)) < noise
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["time,value", "value", "t, v", "t,0.5", "", " "])))
+    for row in range(draw(st.integers(0, 12))):
+        if irregular():
+            lines.append(draw(st.sampled_from(["", " ", "\t\t", "\x0c", "\u00a0"])))
+            continue
+        width = draw(st.integers(1, 3)) if irregular() else ncols
+        fields = []
+        for col in range(width):
+            if irregular():
+                text = draw(_SPECIAL_FIELDS)
+            elif col == 0 and width > 1:  # increasing times
+                text = draw(st.sampled_from(["{}", "{}.0", "{}e0", "{:.17g}"])).format(row)
+            else:
+                value = draw(st.floats(allow_nan=False, allow_infinity=False))
+                text = draw(st.sampled_from(["{!r}", "{:.3e}", "{:.17g}", "{:.0f}"])).format(value)
+            fields.append(draw(_PADS) + text + draw(_PADS))
+        lines.append(",".join(fields) + ("," if irregular() else ""))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _read_or_error(path):
+    try:
+        series = read_csv(path)
+    except ValueError as err:
+        return type(err), str(err)
+    return series.times.tobytes(), series.values.tobytes()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_csv_texts().map(lambda text: text.encode("utf-8")))
+@example(data=b"")
+@example(data=b"time,value\n")
+@example(data=b"\xef\xbb\xbfvalue\r\n\r\n")
+@example(data=b"time,value\n1,2\n3,4\n")
+@example(data=b"0,1_0\n1,2\n")
+@example(data="0,1\n \t \n1,\u0662\n".encode("utf-8"))
+@example(data="\u00a00,1\u2003\n1,2\n".encode("utf-8"))
+@example(data=b"value\r5\r6\r")
+@example(data=b"0,1\n1,\x002\n")
+@example(data=b"0,1\n\xff,2\n")  # not UTF-8
+@example(data=b"".join(b"%d,1\n" % i for i in range(3000)) + b"9,\xe2\x82\n")
+def test_csv_array_parse_matches_line_scan(tmp_path, data):
+    # the line scan alone is the reference: bits, or exception and message.
+    # A warning fails the test through the project's warning filters
+    path = tmp_path / "drawn.csv"
+    path.write_bytes(data)
+    with mock.patch.object(csvio, "_load_table", lambda fh: None):
+        want = _read_or_error(str(path))
+    assert _read_or_error(str(path)) == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_array_parse_takes_well_formed_files(tmp_path):
+    # a file the scan reads without fault goes through the array call, and
+    # a header-only file goes to the scan, which raises its own error
+    path = tmp_path / "plain.csv"
+    path.write_bytes(b"\xef\xbb\xbftime,value\r\n\r\n0,1.5\r\n1, -2\r\n\r\n2,1e-3\r\n")
+    with open(path, encoding="utf-8-sig") as fh:
+        table = csvio._load_table(fh)
+    npt.assert_array_equal(table, [[0.0, 1.5], [1.0, -2.0], [2.0, 1e-3]])
+    path.write_text("time,value\n\n")
+    with open(path, encoding="utf-8-sig") as fh:
+        assert csvio._load_table(fh) is None
 
 
 def _reference_csv_text(times, values) -> str:
@@ -197,6 +290,24 @@ def test_decompose_plot_near_the_float64_limit(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     svg = (out / "decomposition.svg").read_text()
     assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.filterwarnings("error")
+def test_decompose_plot_of_times_near_the_float64_limit(tmp_path, capsys):
+    # the time span, 2e308, passes the float64 limit
+    src = tmp_path / "wide.csv"
+    src.write_text("-1e308,0\n0,1\n1e308,0\n")
+    out = tmp_path / "out"
+    code = main(["decompose", "--input", str(src), "--output-dir", str(out), "--plot"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    svg = (out / "decomposition.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    for points in re.findall(r'points="([^"]*)"', svg):
+        for point in points.split():
+            x, y = map(float, point.split(","))
+            assert svgplot._MARGIN_LEFT <= x <= svgplot._WIDTH - svgplot._MARGIN_RIGHT
+            assert svgplot._MARGIN_TOP <= y <= svgplot._HEIGHT - svgplot._MARGIN_BOTTOM
 
 
 # ---------------------------------------------------------------------------

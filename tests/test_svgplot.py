@@ -121,3 +121,56 @@ def test_svg_points_match_per_point_reference(tmp_path, n):
         render_svg(chart, str(path))
         text = path.read_text()
         assert re.findall(r'points="([^"]*)"', text) == _reference_svg_points(chart)
+
+
+def _assert_inside_box(text):
+    """Every polyline point and every tick lies in the plot box."""
+    x0, x1 = svgplot._MARGIN_LEFT, svgplot._WIDTH - svgplot._MARGIN_RIGHT
+    y0, y1 = svgplot._HEIGHT - svgplot._MARGIN_BOTTOM, svgplot._MARGIN_TOP
+    assert "nan" not in text and "inf" not in text
+    for points in re.findall(r'points="([^"]*)"', text):
+        for point in points.split():
+            x, y = map(float, point.split(","))
+            assert x0 <= x <= x1 and y1 <= y <= y0
+    for x in re.findall(r'<line x1="([-\d.]+)" y1="[-\d.]+" x2="\1"', text):
+        assert x0 <= float(x) <= x1
+    for y in re.findall(r'<line x1="[-\d.]+" y1="([-\d.]+)" x2="[-\d.]+" y2="\1"', text):
+        assert y1 <= float(y) <= y0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times", [(-1e308, 0.0, 1e308), (-1.7976931348623157e308, 1.7e308),
+                                   (-8.9e307, 8.9e307), (1e308, 1.7976931348623157e308)],
+                         ids=["wide", "limit", "edge", "top"])
+def test_svg_of_large_times_is_finite(tmp_path, times):
+    # the time range and the tick spacing pass the float64 limit in the
+    # first two; the chart must stay finite and inside its box, with no
+    # warning on the way
+    path = tmp_path / "wide.svg"
+    times = np.array(times)
+    render_svg({"wide": TimeSeries(times, np.arange(len(times), dtype=float))}, str(path))
+    text = path.read_text()
+    _assert_inside_box(text)
+    points = re.findall(r'points="([^"]*)"', text)[0].split()
+    xs = [float(p.split(",")[0]) for p in points]
+    assert xs[0] == svgplot._MARGIN_LEFT and xs[-1] == svgplot._WIDTH - svgplot._MARGIN_RIGHT
+    assert xs == sorted(xs)
+
+
+def _reference_points_text(x, y) -> str:
+    return " ".join("%.2f,%.2f" % pair for pair in zip(x, y))
+
+
+def test_point_text_matches_percent_format():
+    # exact ties k/8 round half to even; their neighbours either way must
+    # not be taken for ties
+    ties = np.arange(8000) / 8.0
+    rng = np.random.default_rng(10)
+    values = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties[1:], -np.inf),
+        [0.0], rng.uniform(0.0, 960.0, 100_000),
+    ])
+    x, y = values, rng.permutation(values)
+    assert svgplot._points_text(x, y) == _reference_points_text(x, y)
+    for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        assert svgplot._points_text(x[:n], y[:n]) == _reference_points_text(x[:n], y[:n])
