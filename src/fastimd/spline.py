@@ -6,10 +6,11 @@ cyclic reduction over whole arrays, so construction stays linear in the
 knot count and takes O(log n) numpy steps. Two knots degrade to the
 straight line through them under natural ends.
 
-Evaluation on a sorted grid of n points costs O(n + m log n) for m knots:
-one search of the knots into the grid counts the points per interval, and
-the interval coefficients are repeated over them, with no per-point search
-or gather.
+Evaluation on a sorted grid of n points costs O(n + m log n) for m knots.
+Each knot interval gets four cubic coefficients in its own normalized
+variable, computed once per interval. One search of the knots into the grid
+counts the points per interval; one interval index per point, repeated from
+those counts, gathers the coefficients, and Horner's rule evaluates them.
 """
 
 from __future__ import annotations
@@ -59,12 +60,14 @@ class CubicSpline:
     def evaluate_on_grid(self, times: ArrayLike) -> np.ndarray:
         """Values at a non-decreasing sequence of points inside the knot span.
 
-        One ``searchsorted`` of the m knots into the n grid points counts
-        the points in each knot interval, and each interval's coefficients
-        are repeated over its points, so evaluation costs O(n + m log n)
-        with no per-point search or gather. A point on an interior knot
-        belongs to the interval that starts there, a point on the last knot
-        to the last interval.
+        On interval i, with h = t[i + 1] - t[i] and b = (x - t[i]) / h, the
+        spline is ``((c3 b + c2) b + c1) b + c0``. One ``searchsorted`` of
+        the m knots into the n grid points counts the points in each
+        interval, one interval index per point is repeated from the counts,
+        and a gather by that index fetches t[i], h and the four
+        coefficients, so evaluation costs O(n + m log n). A point on an
+        interior knot belongs to the interval that starts there and gets
+        its value exactly (b = 0); a point on the last knot gets y[-1].
         """
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1:
@@ -81,44 +84,39 @@ class CubicSpline:
                 f"[{self.t[0]}, {self.t[-1]}]"
             )
         t, y, m = self.t, self.y, self._m
-        # points starts[i] .. starts[i + 1] - 1 lie in interval i, and the
-        # last interval runs to the end of the grid
-        starts = np.searchsorted(times, t[:-1], side="left")
-        counts = np.diff(starts, append=len(times))
-        dt = np.diff(t)
+        # the moment form on interval i, with a = 1 - b,
+        #   a y[i] + b y[i + 1] + ((a^3 - a) m[i] + (b^3 - b) m[i + 1]) hu^2 / 6
+        # in powers of b, with hu the interval length in the moments' time
+        # unit. Each moment is scaled by hu^2 / 6 before the two are added:
+        # scaled, they are of the size of the values, while on an interval
+        # shorter than the time unit 2 m[i] + m[i + 1] can overflow
+        h = np.diff(t)
+        hh = (h / self._unit) ** 2
+        lo = m[:-1] * hh / 6.0
+        hi = m[1:] * hh / 6.0
+        c0, c1, c2, c3 = y[:-1], (y[1:] - y[:-1]) - (2.0 * lo + hi), 3.0 * lo, hi - lo
+        # points starts[i] .. starts[i + 1] - 1 lie in interval i; the points
+        # on the last knot, from starts[-1] on, join the last interval and
+        # are set to y[-1] at the end
+        starts = np.searchsorted(times, t, side="left")
+        counts = np.diff(starts)
+        counts[-1] += len(times) - starts[-1]
+        which = np.repeat(np.arange(len(h)), counts)
 
-        # the moment form on interval i, exact at both knots by construction:
-        # a y[i] + b y[i + 1] + ((a^3 - a) m[i] + (b^3 - b) m[i + 1]) h^2 / 6
-        # with h = t[i + 1] - t[i], a = (t[i + 1] - x) / h, b = (x - t[i]) / h
-        # and h^2 taken in the time unit of the moments; the in-place steps
-        # keep that operation order, and each n-long buffer is dropped as
-        # soon as it is used up
-        h = np.repeat(dt, counts)
-        a = np.repeat(t[1:], counts)
-        a -= times
-        a /= h
-        b = np.repeat(t[:-1], counts)
+        # Horner's rule in place; each n-long buffer is dropped once used
+        b = t.take(which)
         np.subtract(times, b, out=b)
-        b /= h
-        del h
-        out = np.repeat(y[:-1], counts)
-        out *= a
-        term = np.repeat(y[1:], counts)
-        term *= b
-        out += term
-        np.power(a, 3, out=term)
-        term -= a
-        del a
-        term *= np.repeat(m[:-1], counts)
-        curve = np.power(b, 3)
-        curve -= b
-        del b
-        curve *= np.repeat(m[1:], counts)
-        term += curve
-        del curve
-        term *= np.repeat((dt / self._unit) ** 2, counts)
-        term /= 6.0
-        out += term
+        b /= h.take(which)
+        out = c3.take(which)
+        out *= b
+        out += c2.take(which)
+        out *= b
+        out += c1.take(which)
+        out *= b
+        out += c0.take(which)
+        # at b = 1 the rounded sum need not equal y[i + 1]; the last knot is
+        # the only right end a point reaches, and it stays exact
+        out[starts[-1]:] = y[-1]
         return out
 
 

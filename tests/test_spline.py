@@ -7,6 +7,8 @@ against scipy's CubicSpline, which uses an unrelated construction, and the
 moments themselves against scipy's banded LU solver.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -183,9 +185,26 @@ def test_grid_evaluation_matches_pointwise():
 
 
 def _reference_evaluate(sp, x):
-    """Evaluation as first written: a search per point, clipped to the last
-    interval, then eight gathers into the moment form; ``evaluate_on_grid``
-    must match it bit for bit."""
+    """A search per point, clipped to the last interval, then the cubic in
+    b = (x - t[i]) / h in Horner form, and y[-1] on the last knot;
+    ``evaluate_on_grid`` must match it bit for bit."""
+    i = np.searchsorted(sp.t, x, side="right") - 1
+    np.clip(i, 0, len(sp.t) - 2, out=i)
+    t, y, m = sp.t, sp.y, sp._m
+    h = t[i + 1] - t[i]
+    b = (x - t[i]) / h
+    hu = h / sp._unit
+    lo = m[i] * (hu * hu) / 6.0
+    hi = m[i + 1] * (hu * hu) / 6.0
+    c1 = (y[i + 1] - y[i]) - (2.0 * lo + hi)
+    v = (((hi - lo) * b + 3.0 * lo) * b + c1) * b + y[i]
+    return np.where(x == t[-1], y[-1], v)
+
+
+def _moment_form_evaluate(sp, x):
+    """The moment form, as evaluation was first written: a search per point,
+    then a y[i] + b y[i + 1] + ((a^3 - a) m[i] + (b^3 - b) m[i + 1]) h^2 / 6
+    with a = 1 - b; equal to the Horner form up to rounding."""
     i = np.searchsorted(sp.t, x, side="right") - 1
     np.clip(i, 0, len(sp.t) - 2, out=i)
     t, y, m = sp.t, sp.y, sp._m
@@ -221,18 +240,69 @@ _GRIDS = {
 }
 
 
-@pytest.mark.parametrize("clamped", [False, True], ids=["natural", "clamped"])
-@pytest.mark.parametrize("grid", list(_GRIDS))
-def test_grid_evaluation_is_bit_identical_to_reference(grid, clamped):
+def _grid_cases(grid, clamped):
+    """Splines of 2 to 200 knots, each with a grid of the named kind."""
     rng = np.random.default_rng(41)
     for knots in [2, 2, 3, 5, 17, 60, 200]:
         t = np.cumsum(rng.uniform(0.05, 3.0, knots)) + rng.uniform(-50.0, 50.0)
         y = rng.normal(scale=10.0 ** rng.uniform(-3.0, 3.0), size=knots)
         sp = build_spline(t, y, flat_ends=clamped)
-        x = _GRIDS[grid](rng, t)
+        yield sp, _GRIDS[grid](rng, t)
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["natural", "clamped"])
+@pytest.mark.parametrize("grid", list(_GRIDS))
+def test_grid_evaluation_is_bit_identical_to_reference(grid, clamped):
+    for sp, x in _grid_cases(grid, clamped):
         got = sp.evaluate_on_grid(x)
         assert got.shape == x.shape
-        assert got.tobytes() == _reference_evaluate(sp, x).tobytes(), (grid, knots)
+        assert got.tobytes() == _reference_evaluate(sp, x).tobytes(), (grid, len(sp.t))
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["natural", "clamped"])
+@pytest.mark.parametrize("grid", list(_GRIDS))
+def test_horner_form_matches_moment_form_to_round_off(grid, clamped):
+    # the largest difference over these cases is 16 ulp of max |y|
+    for sp, x in _grid_cases(grid, clamped):
+        got = sp.evaluate_on_grid(x)
+        want = _moment_form_evaluate(sp, x)
+        ulp = np.spacing(np.max(np.abs(sp.y)))
+        assert np.all(np.abs(got - want) <= 32.0 * ulp), (grid, len(sp.t))
+
+
+@pytest.mark.parametrize("flat_ends", [False, True], ids=["natural", "flat"])
+def test_last_knot_evaluates_to_its_value(flat_ends):
+    # Horner's rule at b = 1 rounds, and a filter bridge is evaluated on its
+    # right anchor, so the last knot's value is set, not computed
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        knots = int(rng.integers(2, 30))
+        t = np.cumsum(rng.uniform(0.05, 3.0, knots))
+        y = rng.normal(scale=10.0 ** rng.uniform(-3.0, 3.0), size=knots)
+        sp = build_spline(t, y, flat_ends)
+        x = np.concatenate((_inside(rng, t, 5), [t[-1], t[-1]]))
+        got = sp.evaluate_on_grid(x)
+        assert got[-2:].tobytes() == np.repeat(y[-1], 2).tobytes()
+        assert sp.evaluate(t[-1]) == y[-1]
+
+
+@pytest.mark.parametrize("flat_ends", [False, True], ids=["natural", "flat"])
+def test_short_intervals_near_the_float64_limit_stay_finite(flat_ends):
+    # a small bump over two intervals of 2^-7 time units drives the moment
+    # there to 1.4e308 in the time unit (0.5); twice that moment overflows,
+    # so each moment is scaled by its interval before they are added. The
+    # same shape appears among the residue splines `decompose` builds on
+    # random_walk(11) scaled to a spread of 10^306.5, times scaled by 1e-3
+    t = np.array([0.0, 1.0, 2.0, 2.0 + 2.0**-8, 2.0 + 2.0**-7, 3.0, 4.0])
+    y = 3e306 * np.array([1.0, -1.0, 0.5, 0.501, 0.5, -1.0, 1.0])
+    x = np.linspace(0.0, 4.0, 4097)  # every knot is a grid point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = build_spline(t, y, flat_ends)
+        got = sp.evaluate_on_grid(x)
+    assert np.max(np.abs(sp._m)) > 0.5 * np.finfo(np.float64).max
+    assert np.all(np.isfinite(got))
+    assert got[np.searchsorted(x, t)].tobytes() == y.tobytes()
 
 
 def test_rejects_bad_input():
