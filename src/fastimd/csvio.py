@@ -11,16 +11,44 @@ that call rejects is read again by a line scan, which decides what is valid
 and names the line of the first fault; both give the same bits for every
 file they both accept.
 
-Both writers, ``write_csv`` here and ``svgplot.render_svg``, go through one
-atomic path (``_write_atomic``: temp file plus rename) and format a fixed
-block of ``_CHUNK`` rows or points at a time.
+``write_csv`` writes every value as ``"%.17g" %`` does, byte for byte, but
+from arrays, one block of ``_CHUNK`` rows at a time (Grisu's idea of an
+integer fast path that proves its own rounding: Loitsch, PLDI 2010):
+
+- Fast path. For |x| in [1e-290, 1e299), k = floor(log10 |x|) picks
+  10**(16 - k) from a table of double-double pairs hi + lo. Dekker's exact
+  product (Numer. Math. 1971) gives |x| hi = a + b, a being an integer once
+  it passes 2**53, and r = b + fl(|x| lo). The 17 digits are
+  D = a + rint(r), the exponent k; where log10 was one off next to a power
+  of ten (D outside [10**16, 10**17)), k moves by one and |x| is scaled again.
+- Error bound. With u = 2**-53 and a < 2**57 (true wherever D <= 10**17):
+  |b| <= 8 and |x lo| <= 16. Rounding lo in the table costs at most 16u
+  once multiplied by |x|, rounding |x| lo another 16u, and adding it to b
+  24u, so a + r lies within 56u of |x| 10**(16 - k). Wherever
+  |r - rint(r)| < 1/2 - 2**-47 (64u), D is therefore the correctly rounded
+  value, and not a tie.
+- Fallback. Every other value is formatted by ``%``: a product within that
+  band of a half (a tie, or too close to tell: 2.2422607587866907e-07 times
+  10**23 is a half plus 2**-52 but computes to an exact half), one that
+  rounds up to the next power of ten, non-finite values, and magnitudes
+  outside the fast range (subnormals, values whose Dekker split or table
+  entry would overflow or underflow). Zero is written from arrays.
+
+From D and k the text is assembled in arrays as ``%g`` does it: fixed
+notation for k from -4 to 16 and exponent notation (``e+XX``/``e+XXX``)
+otherwise, trailing zeros and a bare point stripped, ``-0`` kept. Both
+writers, ``write_csv`` here and ``svgplot.render_svg``, peel digits with
+the one ``_digit_rows``, join their text with ``_join_text`` and write
+bytes through one atomic path (``_write_atomic``: temp file plus rename),
+so the numbers' text is never encoded or decoded and no platform changes
+the line ends. Written files get the mode ``open(path, "w")`` gives.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
-import tempfile
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -115,31 +143,190 @@ def _is_number(field: str) -> bool:
     return True
 
 
+
+
 def write_csv(series: TimeSeries, path: str) -> None:
     """Write ``time,value`` rows atomically (temp file plus rename)."""
-    rows = _format_pairs("%.17g,%.17g\n", series.times, series.values)
-    _write_atomic(path, itertools.chain(["time,value\n"], rows))
+    _write_atomic(path, itertools.chain([b"time,value\n"], _csv_rows(series.times, series.values)))
 
 
 # Rows formatted per block. Formatting whole arrays at once holds every
-# value as a Python float and its text at the same time.
+# value's text, and the arrays it is built in, at the same time.
 _CHUNK = 4096
 
 
-def _format_pairs(fmt: str, a: np.ndarray, b: np.ndarray) -> Iterator[str]:
-    """Yield ``"".join(fmt % (a[i], b[i]) for i in range(len(a)))``, ``_CHUNK`` rows a piece."""
-    flat = np.column_stack((a, b)).ravel()
-    for lo in range(0, len(flat), 2 * _CHUNK):
-        pairs = flat[lo:lo + 2 * _CHUNK].tolist()
-        yield fmt * (len(pairs) // 2) % tuple(pairs)
+def _csv_rows(times: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
+    """Yield ``"%.17g,%.17g\\n" % (times[i], values[i])`` for every ``i``, ``_CHUNK`` rows a piece."""
+    for lo in range(0, len(times), _CHUNK):
+        yield _join_text(np.concatenate((_g17_text(times[lo:lo + _CHUNK], b","),
+                                         _g17_text(values[lo:lo + _CHUNK], b"\n"))))
 
 
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``."""
+def _join_text(table: np.ndarray) -> bytes:
+    """The columns of a text table, one after another, with zero bytes left out.
+
+    A text table holds one column of ASCII bytes per value and one row per
+    character position; a zero byte stands for no character.
+    """
+    table = table[table.any(axis=1)]
+    flat = table.T.ravel()
+    return flat[flat != 0].tobytes()
+
+
+_ZERO = np.uint8(ord("0"))
+_TEN = np.uint32(10)
+
+
+def _digit_rows(whole: np.ndarray, count: int) -> np.ndarray:
+    """The last ``count`` (at most 18) decimal digits of each non-negative
+    integer in ``whole``, as ASCII: row ``j`` holds digit ``j``, most
+    significant first."""
+    # groups of up to nine digits are split off in uint64, then all groups
+    # are peeled at once in uint32, whose division by 10 is twice as fast
+    groups = -(-count // 9)
+    per = -(-count // groups)
+    split = np.uint64(10 ** per)
+    w = whole.astype(np.uint64)
+    parts = np.empty((groups, len(whole)), dtype=np.uint32)
+    for g in range(groups - 1, -1, -1):
+        q = w // split
+        parts[g] = (w - q * split).astype(np.uint32)
+        w = q
+    out = np.empty((groups, per, len(whole)), dtype=np.uint8)
+    for j in range(per - 1, -1, -1):
+        q = parts // _TEN
+        np.add(parts - q * _TEN, _ZERO, out=out[:, j], casting="unsafe")
+        parts = q
+    return out.reshape(groups * per, len(whole))[groups * per - count:]
+
+
+# Exact 17-digit scaling. k runs over the decimal exponents of |x| in
+# [_FAST_MIN, _FAST_MAX) and one either side; row 0 of _POWERS holds
+# 10**(16 - k) rounded, row 1 the rest rounded, rows 2 and 3 row 0 split into
+# two 26-bit halves for Dekker's product.
+_K_MIN, _K_MAX = -292, 300
+_FAST_MIN, _FAST_MAX = 1e-290, 1e299
+_SPLIT = 134217729.0  # 2**27 + 1
+_HALF_BAND = 2.0 ** -47
+_E16, _E17 = 10 ** 16, 10 ** 17
+
+
+def _power_table() -> np.ndarray:
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den  # int division rounds correctly, as does the rest's below
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        # split the mantissa, so that no power near the float64 limit overflows
+        mantissa, exponent = math.frexp(hi)
+        c = mantissa * _SPLIT
+        top = c - (c - mantissa)
+        rows.append((hi, lo, math.ldexp(top, exponent), math.ldexp(mantissa - top, exponent)))
+    return np.array(rows, dtype=np.float64).T.copy()
+
+
+_POWERS = _power_table()
+
+
+def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, t)``, ``d`` an int64 and ``|t| <= 1/2``: wherever ``d`` lies in
+    [10**16, 10**17], ``ax * 10**(16 - k)`` is ``d + t`` to within 56 * 2**-53."""
+    hi, lo, hi_top, hi_low = _POWERS[:, k - _K_MIN]
+    a = ax * hi
+    c = ax * _SPLIT
+    x_top = c - (c - ax)
+    x_low = ax - x_top
+    b = ((x_top * hi_top - a) + x_top * hi_low + x_low * hi_top) + x_low * hi_low  # a + b = ax * hi
+    # a is an integer from 2**53 on; below that d < 10**16 and the caller rescales
+    rest = b + ax * lo
+    near = np.rint(rest)
+    return a.astype(np.int64) + near.astype(np.int64), rest - near
+
+
+def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, k, exact)`` for ``ax`` in [_FAST_MIN, _FAST_MAX): ``ax`` rounded
+    to 17 significant digits is ``d * 10**(k - 16)``, ``10**16 <= d < 10**17``,
+    wherever ``exact`` holds."""
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    d, t = _scaled(ax, k)
+    # log10 is one off next to a power of ten: the scaled value then lies
+    # below 10**16 or at 10**17 - 1/2 or above. A value that rounds up to
+    # the next power of ten ends at 10**17 and is left to the caller
+    move = (d >= _E17).astype(np.int64) - ((d < _E16) | ((d == _E16) & (t < 0))).astype(np.int64)
+    again = np.flatnonzero(move)
+    if len(again):
+        k[again] += move[again]
+        d[again], t[again] = _scaled(ax[again], k[again])
+    exact = (np.abs(t) < 0.5 - _HALF_BAND) & (d >= _E16) & (d < _E17)
+    return d, k, exact
+
+
+# Rows of a value's text: sign, "0.000" before the digits of 1e-4 <= |x| < 1,
+# the 17 digits with a row for the point after each of the first 16, the
+# exponent ("e", sign, three digits) and the end byte.
+_SIGN, _LEAD, _DIGITS, _POINTS, _EXP, _ROWS = 0, slice(1, 6), slice(6, 39, 2), slice(7, 38, 2), 39, 45
+_LEAD_TEXT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_LEAD_BELOW = np.array([0, 0, -1, -2, -3], dtype=np.int8)[:, None]
+_POSITION = np.arange(17, dtype=np.int8)[:, None]
+_WIDEST = 24  # "-2.2250738585072014e-308"
+
+
+def _g17_text(x: np.ndarray, end: bytes) -> np.ndarray:
+    """The text table of ``"%.17g" % x[i]`` followed by ``end``, one column per value."""
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax < _FAST_MAX)
+    zero = ax == 0.0
+    d, k, exact = _decimal(np.where(fast, ax, 1.0))  # zero is written from the digits of 1
+    text = np.zeros((_ROWS, len(x)), dtype=np.uint8)
+    np.multiply(np.signbit(x).view(np.uint8), np.uint8(ord("-")), out=text[_SIGN])
+    # %g: fixed notation for exponents -4 to 16, with the point after digit
+    # k (before digit 0 and three zeros at most, for k < 0); else one digit,
+    # the point and an exponent
+    fixed = (k >= -4) & (k < 17)
+    point = np.where(fixed, k, 0).astype(np.int8)
+    np.multiply(_LEAD_TEXT, (point < _LEAD_BELOW).view(np.uint8), out=text[_LEAD])
+    digits = _digit_rows(d, 17)
+    digits[0] -= zero.view(np.uint8)
+    # trailing zeros after the point go, and the point with them when no digit follows it
+    strip = (digits == _ZERO) & (_POSITION > point)
+    for j in range(15, 0, -1):
+        strip[j] &= strip[j + 1]
+    np.multiply(digits, (~strip).view(np.uint8), out=text[_DIGITS])
+    points = (_POSITION[:16] == point) & ~strip[1:]
+    np.multiply(points.view(np.uint8), np.uint8(ord(".")), out=text[_POINTS])
+    sci = np.flatnonzero(~fixed)
+    if len(sci):
+        power = k[sci]
+        text[_EXP, sci] = ord("e")
+        text[_EXP + 1, sci] = np.where(power < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+        power = np.abs(power)
+        exp_digits = _digit_rows(power, 3)
+        exp_digits[0] *= (power >= 100).view(np.uint8)
+        text[_EXP + 2:_EXP + 5, sci] = exp_digits
+    text[-1] = ord(end)
+    # the values the array path cannot vouch for, in the first rows of their columns
+    slow = np.flatnonzero(~(fast & exact | zero))
+    if len(slow):
+        padded = "".join(["%-*.17g" % (_WIDEST, v) for v in x[slow].tolist()]).encode("ascii")
+        chars = np.frombuffer(padded, dtype=np.uint8).reshape(len(slow), _WIDEST)
+        text[:_WIDEST, slow] = (chars * (chars != np.uint8(ord(" ")))).T
+        text[_WIDEST:-1, slow] = 0
+    return text
+
+
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``.
+
+    The temp file is created as ``open(path, "w")`` would create ``path``:
+    mode 0o666 less the umask (``tempfile.mkstemp`` would make it 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -10,11 +10,11 @@ from arrays, one block of ``_CHUNK`` points at a time.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .csvio import _CHUNK, _write_atomic
+from .csvio import _CHUNK, _digit_rows, _join_text, _write_atomic
 from .series import TimeSeries
 
 __all__ = ["render_svg"]
@@ -115,10 +115,11 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     for k, label in enumerate(labels):
         s = series_set[label]
         color = _PALETTE[k % len(_PALETTE)]
-        pts = _points_text(sx(s.times), sy(s.values))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
-        )
+        parts.append([
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="'.encode("ascii"),
+            *_point_blocks(sx(s.times), sy(s.values)),
+            b'"/>',
+        ])
         lx = x0 + 10
         ly = y1 + 16 + 16 * k
         parts.append(
@@ -131,25 +132,41 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
         )
 
     parts.append("</svg>")
-    _write_atomic(path, (part + "\n" for part in parts))
+    _write_atomic(path, _lines(parts))
 
 
-def _points_text(x: np.ndarray, y: np.ndarray) -> str:
-    """``" ".join("%.2f,%.2f" % (x[i], y[i]) for i in range(len(x)))``, built
-    as bytes one block of ``_CHUNK`` points at a time; coordinates lie in
+def _lines(parts: list[str | list[bytes]]) -> Iterator[bytes]:
+    """Each part in UTF-8 (a polyline comes as its bytes, in pieces), then a newline."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part.encode("utf-8")
+        else:
+            yield from part
+        yield b"\n"
+
+
+def _point_blocks(x: np.ndarray, y: np.ndarray) -> list[bytes]:
+    """``" ".join("%.2f,%.2f" % (x[i], y[i]) for i in range(len(x)))`` in
+    ASCII, one piece per block of ``_CHUNK`` points; coordinates lie in
     [0, 2**52)."""
     blocks = []
     for lo in range(0, len(x), _CHUNK):
-        text = np.hstack((_cents_text(x[lo:lo + _CHUNK], b","),
-                          _cents_text(y[lo:lo + _CHUNK], b" ")))
-        text[-1, -1] = 0  # the join below puts the separator between blocks
-        blocks.append(text[text != 0].tobytes().decode("ascii"))
-    return " ".join(blocks)
+        text = np.concatenate((_cents_text(x[lo:lo + _CHUNK], b","),
+                               _cents_text(y[lo:lo + _CHUNK], b" ")))
+        if lo + _CHUNK >= len(x):
+            text[-1, -1] = 0  # no separator after the last point
+        blocks.append(_join_text(text))
+    return blocks
+
+
+def _points_text(x: np.ndarray, y: np.ndarray) -> str:
+    """The joined ``_point_blocks`` as text, to compare with ``%`` formatting."""
+    return b"".join(_point_blocks(x, y)).decode("ascii")
 
 
 def _cents_text(v: np.ndarray, end: bytes) -> np.ndarray:
-    """One row of ASCII bytes per value: ``"%.2f" % v[i]`` and ``end``, right
-    aligned, with zero bytes where the widest row has more digits."""
+    """The text table (see ``csvio._join_text``) of ``"%.2f" % v[i]``
+    followed by ``end``, one column per value."""
     # %.2f rounds 100 v on its exact binary value, ties to even. v is m 2**-s
     # for a 53-bit integer m, so 100 m < 2**60 and the rounding is in integers;
     # cutting s at 62 still rounds every v below 2**-10 to 0
@@ -159,15 +176,13 @@ def _cents_text(v: np.ndarray, end: bytes) -> np.ndarray:
     cents = (hundred_m + (1 << (s - 1)) - 1 + ((hundred_m >> s) & 1)) >> s
     whole, frac = np.divmod(cents, 100)
     width = len(str(int(whole.max())))
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    digits = (whole[:, None] // powers % 10 + ord("0")).astype(np.uint8)
-    digits[(whole[:, None] < powers) & (powers > 1)] = 0  # no leading zeros
-    text = np.empty((len(v), width + 4), dtype=np.uint8)
-    text[:, :width] = digits
-    text[:, width] = ord(".")
-    text[:, width + 1] = frac // 10 + ord("0")
-    text[:, width + 2] = frac % 10 + ord("0")
-    text[:, width + 3] = ord(end)
+    text = np.empty((width + 4, len(v)), dtype=np.uint8)
+    text[:width] = _digit_rows(whole, width)
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    text[:width - 1] *= (whole >= powers[:, None]).view(np.uint8)  # no leading zeros
+    text[width] = ord(".")
+    text[width + 1:width + 3] = _digit_rows(frac, 2)
+    text[width + 3] = ord(end)
     return text
 
 

@@ -7,7 +7,10 @@ line is pinned character by character; everything else goes through
 behaves the same.
 """
 
+import math
+import os
 import re
+import stat
 import subprocess
 import sys
 from unittest import mock
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fastimd import TimeSeries, random_walk, read_csv, two_cosine, write_csv
+from fastimd import TimeSeries, random_walk, read_csv, render_svg, two_cosine, write_csv
 from fastimd import csvio, svgplot
 from fastimd.cli import format_mode_line, main
 from fastimd.csvio import _CHUNK
@@ -208,6 +211,82 @@ def test_csv_bytes_match_per_row_reference(tmp_path, n):
     path = tmp_path / "pin.csv"
     write_csv(TimeSeries(times, values), str(path))
     assert path.read_bytes() == _reference_csv_text(times, values).encode("utf-8")
+
+
+def _g17_ties(j):
+    """n 2**-j for odd n whose exact decimal has 18 digits, the last a 5:
+    halfway between two 17-digit values."""
+    lo, hi = -(-10 ** 17 // 5 ** j), min((10 ** 18 - 1) // 5 ** j, 2 ** 53 - 1)
+    return st.integers(lo, hi).map(lambda n: math.ldexp(n | 1, -j))
+
+
+_G17_HARD = st.one_of(
+    st.integers(2, 25).flatmap(_g17_ties),
+    # every power of ten and its neighbours either side
+    st.tuples(st.integers(-323, 308), st.sampled_from([-math.inf, 0.0, math.inf])).map(
+        lambda pw: math.nextafter(float(f"1e{pw[0]}"), pw[1]) if pw[1] else float(f"1e{pw[0]}")),
+    # integers where a double stops holding every integer, and 17 digits stop sufficing
+    st.tuples(st.sampled_from([2 ** 53, 10 ** 16, 10 ** 17]), st.integers(-4096, 4096)).map(
+        lambda c: float(c[0] + c[1])),
+    # where %g switches between fixed and exponent notation
+    st.floats(0.99e-4, 1.01e-4),
+    st.floats(0.99e17, 1.01e17),
+)
+_G17_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(_G17_HARD, st.booleans()).map(lambda v: -v[0] if v[1] else v[0]),
+)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(pairs=st.lists(st.tuples(_G17_FLOATS, _G17_FLOATS), min_size=1, max_size=40))
+@example(pairs=[(0.0, -0.0), (5e-324, -1.7976931348623157e308), (1e-4, 9.9999999999999991e16)])
+# the doubles nearest 1e-14 and 1e98 lie below them by less than a 17-digit half unit
+@example(pairs=[(1e-14, 1e98), (-1e-305, 1e220)])
+def test_csv_rows_match_percent_format(pairs):
+    times, values = (np.array(column, dtype=np.float64) for column in zip(*pairs))
+    want = b"".join(b"%.17g,%.17g\n" % pair for pair in pairs)
+    assert b"".join(csvio._csv_rows(times, values)) == want
+
+
+def _near_halves():
+    """Doubles in [2**-23, 2**-22) whose value times 10**23 lies s 2**-52
+    from a half, for small s. 10**23 is no double, so the array path cannot
+    tell which side they are on (at s = 1 its product is exactly a half)."""
+    inverse = pow(5 ** 23, -1, 2 ** 52)
+    return [math.ldexp((2 ** 51 + s) * inverse % 2 ** 52 + 2 ** 52, -75) for s in range(-3, 4)]
+
+
+def test_csv_rows_leave_near_halves_and_extremes_to_percent():
+    # the near halves lie within the error bound of a half, and ties 2**-25
+    # and 3 * 2**-24 are exact halves; the rest lie where the scaling table
+    # stops: subnormals, tiny values, and magnitudes where the split overflows
+    halves = np.array(_near_halves() + [2.0 ** -25, 3 * 2.0 ** -24])
+    assert not csvio._decimal(halves)[2].any()
+    extremes = [5e-324, 2.2250738585072014e-308, 1e-291, 5e300, 1.7976931348623157e308]
+    values = np.concatenate((halves, extremes, -halves, np.negative(extremes)))
+    times = np.arange(len(values), dtype=np.float64)
+    want = b"".join(b"%.17g,%.17g\n" % pair for pair in zip(times, values))
+    assert b"".join(csvio._csv_rows(times, values)) == want
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    # a temp file from tempfile.mkstemp is 0600 whatever the umask
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        want = 0o666 & ~umask
+        if stat.S_IMODE((tmp_path / "plain").stat().st_mode) != want:
+            pytest.skip("the umask does not decide file modes here")
+        series = two_cosine(span=50)
+        write_csv(series, str(tmp_path / "series.csv"))
+        render_svg({"series": series}, str(tmp_path / "series.svg"))
+    finally:
+        os.umask(old)
+    for name in ("series.csv", "series.svg"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
 
 
 # ---------------------------------------------------------------------------
