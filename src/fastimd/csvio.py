@@ -156,7 +156,8 @@ _CHUNK = 4096
 
 
 def _csv_rows(times: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
-    """Yield ``"%.17g,%.17g\\n" % (times[i], values[i])`` for every ``i``, ``_CHUNK`` rows a piece."""
+    """Yield ``"%.17g,%.17g\\n" % (times[i], values[i])`` for every ``i``,
+    ``_CHUNK`` rows a piece."""
     for lo in range(0, len(times), _CHUNK):
         yield _join_text(np.concatenate((_g17_text(times[lo:lo + _CHUNK], b","),
                                          _g17_text(values[lo:lo + _CHUNK], b"\n"))))
@@ -265,7 +266,8 @@ def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Rows of a value's text: sign, "0.000" before the digits of 1e-4 <= |x| < 1,
 # the 17 digits with a row for the point after each of the first 16, the
 # exponent ("e", sign, three digits) and the end byte.
-_SIGN, _LEAD, _DIGITS, _POINTS, _EXP, _ROWS = 0, slice(1, 6), slice(6, 39, 2), slice(7, 38, 2), 39, 45
+_SIGN, _LEAD, _EXP, _ROWS = 0, slice(1, 6), 39, 45
+_DIGITS, _POINTS = slice(6, 39, 2), slice(7, 38, 2)
 _LEAD_TEXT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 _LEAD_BELOW = np.array([0, 0, -1, -2, -3], dtype=np.int8)[:, None]
 _POSITION = np.arange(17, dtype=np.int8)[:, None]

@@ -252,7 +252,8 @@ def test_csv_rows_match_percent_format(pairs):
 def _near_halves():
     """Doubles in [2**-23, 2**-22) whose value times 10**23 lies s 2**-52
     from a half, for small s. 10**23 is no double, so the array path cannot
-    tell which side they are on (at s = 1 its product is exactly a half)."""
+    tell which side they are on (at s = 1 its product computes to exactly a
+    half)."""
     inverse = pow(5 ** 23, -1, 2 ** 52)
     return [math.ldexp((2 ** 51 + s) * inverse % 2 ** 52 + 2 ** 52, -75) for s in range(-3, 4)]
 

@@ -36,7 +36,8 @@ def _errors_on_deprecation(mark) -> bool:
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             action, _, rest = arg.value.partition(":")
             category = rest.lstrip(":").partition(":")[0]
-            if action.strip() == "error" and category.strip() in ("", "Warning", "DeprecationWarning"):
+            if action.strip() == "error" and category.strip() in (
+                    "", "Warning", "DeprecationWarning"):
                 return True
     return False
 
