@@ -34,11 +34,18 @@ integer fast path that proves its own rounding: Loitsch, PLDI 2010):
   outside the fast range (subnormals, values whose Dekker split or table
   entry would overflow or underflow). Zero is written from arrays.
 
+- Whole numbers. A block whose values are all integers below 1e17 in
+  magnitude is written as signs and integer digits, with none of the
+  above: such a value has at most 17 digits, so ``%.17g`` writes all of
+  them in fixed notation, exactly, with no point (``-0`` keeps its sign;
+  1e17 itself is written ``1e+17`` and goes the general way, as do NaN and
+  inf). Evenly sampled time columns take this path.
+
 From D and k the text is assembled in arrays as ``%g`` does it: fixed
 notation for k from -4 to 16 and exponent notation (``e+XX``/``e+XXX``)
 otherwise, trailing zeros and a bare point stripped, ``-0`` kept. Both
 writers, ``write_csv`` here and ``svgplot.render_svg``, peel digits with
-the one ``_digit_rows``, join their text with ``_join_text`` and write
+the one ``_digit_rows`` (integer parts through ``_whole_rows``), join their text with ``_join_text`` and write
 bytes through one atomic path (``_write_atomic``: temp file plus rename),
 so the numbers' text is never encoded or decoded and no platform changes
 the line ends. Written files get the mode ``open(path, "w")`` gives.
@@ -201,6 +208,16 @@ def _digit_rows(whole: np.ndarray, count: int) -> np.ndarray:
     return out.reshape(groups * per, len(whole))[groups * per - count:]
 
 
+def _whole_rows(whole: np.ndarray) -> np.ndarray:
+    """The digits of each non-negative integer in ``whole`` (below 10**18) as
+    ASCII rows, as many as the largest has, with zero bytes for leading zeros."""
+    width = len(str(int(whole.max())))
+    digits = _digit_rows(whole, width)
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    digits[:width - 1] *= (whole >= powers[:, None]).view(np.uint8)
+    return digits
+
+
 # Exact 17-digit scaling. k runs over the decimal exponents of |x| in
 # [_FAST_MIN, _FAST_MAX) and one either side; row 0 of _POWERS holds
 # 10**(16 - k) rounded, row 1 the rest rounded, rows 2 and 3 row 0 split into
@@ -272,11 +289,14 @@ _LEAD_TEXT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 _LEAD_BELOW = np.array([0, 0, -1, -2, -3], dtype=np.int8)[:, None]
 _POSITION = np.arange(17, dtype=np.int8)[:, None]
 _WIDEST = 24  # "-2.2250738585072014e-308"
+_WHOLE_MAX = 1e17  # integers below it have at most 17 digits
 
 
 def _g17_text(x: np.ndarray, end: bytes) -> np.ndarray:
     """The text table of ``"%.17g" % x[i]`` followed by ``end``, one column per value."""
     ax = np.abs(x)
+    if (ax < _WHOLE_MAX).all() and (x == np.trunc(x)).all():
+        return _whole_text(x, ax, end)
     fast = (ax >= _FAST_MIN) & (ax < _FAST_MAX)
     zero = ax == 0.0
     d, k, exact = _decimal(np.where(fast, ax, 1.0))  # zero is written from the digits of 1
@@ -314,6 +334,16 @@ def _g17_text(x: np.ndarray, end: bytes) -> np.ndarray:
         chars = np.frombuffer(padded, dtype=np.uint8).reshape(len(slow), _WIDEST)
         text[:_WIDEST, slow] = (chars * (chars != np.uint8(ord(" ")))).T
         text[_WIDEST:-1, slow] = 0
+    return text
+
+
+def _whole_text(x: np.ndarray, ax: np.ndarray, end: bytes) -> np.ndarray:
+    """``_g17_text`` of integers below 1e17 in magnitude: sign and digits."""
+    digits = _whole_rows(ax.astype(np.int64))
+    text = np.empty((len(digits) + 2, len(x)), dtype=np.uint8)
+    np.multiply(np.signbit(x).view(np.uint8), np.uint8(ord("-")), out=text[0])
+    text[1:-1] = digits
+    text[-1] = ord(end)
     return text
 
 

@@ -271,6 +271,26 @@ def test_csv_rows_leave_near_halves_and_extremes_to_percent():
     assert b"".join(csvio._csv_rows(times, values)) == want
 
 
+_WHOLE = [0.0, -0.0, 1.0, -1.0, -7.0, -123456789.0, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+          1e16, -1e16, 99999999999999984.0, -99999999999999984.0]  # the last: largest below 1e17
+
+
+def test_csv_whole_number_rows_match_percent_format():
+    # a block of integers below 1e17 in magnitude is written from its
+    # integer digits, without the 17-digit scaling
+    times = np.array(_WHOLE)
+    values = times[::-1].copy()
+    want = b"".join(b"%.17g,%.17g\n" % pair for pair in zip(times, values))
+    with mock.patch.object(csvio, "_decimal", side_effect=AssertionError("not whole")):
+        assert b"".join(csvio._csv_rows(times, values)) == want
+    # one value that is not such an integer sends its block the general way
+    for other in (1e17, -1e17, 0.5, -2.0 ** 53 - 0.5 ** 20, np.nan, np.inf, -np.inf):
+        column = np.array(_WHOLE + [other])
+        rows = b"".join(csvio._csv_rows(column, column[::-1].copy()))
+        assert rows == b"".join(b"%.17g,%.17g\n" % pair for pair in zip(column, column[::-1]))
+    assert b"1e+17," in b"".join(csvio._csv_rows(np.array([1e17, 2.0]), np.zeros(2)))
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_written_files_get_the_mode_open_gives(tmp_path, umask):
     # a temp file from tempfile.mkstemp is 0600 whatever the umask
