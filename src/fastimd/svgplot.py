@@ -6,6 +6,16 @@ the input, so identical calls produce byte-identical files.
 Both axes stay finite up to the float64 limit, and every point lies in the
 plot box. Point coordinates are formatted as ``%.2f`` would format them,
 from arrays, one block of ``_CHUNK`` points at a time.
+
+A polyline holds at most four points per quarter unit of plot width (M4
+aggregation: Jugel et al., "M4: A Visualization-Oriented Time Series Data
+Aggregation", VLDB 2014). Its points are grouped into columns
+``floor(4 * x)``; a column of more than four points keeps its first and
+last point and the first points with the lowest and the highest ``y``, in
+index order. The line through those four enters and leaves the column where
+the full line does and spans the same heights in it, so the chart draws the
+same up to a device pixel ratio of 4, and a dense series costs text per
+column rather than per sample.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .csvio import _CHUNK, _digit_rows, _join_text, _write_atomic
+from .csvio import _CHUNK, _digit_rows, _join_text, _whole_rows, _write_atomic
 from .series import TimeSeries
 
 __all__ = ["render_svg"]
@@ -37,6 +47,7 @@ _MARGIN_RIGHT = 16
 _MARGIN_TOP = 36
 _MARGIN_BOTTOM = 44
 _HALF_MAX = 0.5 * float(np.finfo(np.float64).max)
+_COLUMNS_PER_UNIT = 4  # thinning columns per unit of plot width
 
 
 def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "") -> None:
@@ -115,9 +126,11 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
     for k, label in enumerate(labels):
         s = series_set[label]
         color = _PALETTE[k % len(_PALETTE)]
+        x, y = sx(s.times), sy(s.values)
+        kept = _kept_points(x, y)
         parts.append([
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="'.encode("ascii"),
-            *_point_blocks(sx(s.times), sy(s.values)),
+            *_point_blocks(x[kept], y[kept]),
             b'"/>',
         ])
         lx = x0 + 10
@@ -143,6 +156,25 @@ def _lines(parts: list[str | list[bytes]]) -> Iterator[bytes]:
         else:
             yield from part
         yield b"\n"
+
+
+def _kept_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The indices of the polyline points a chart draws, increasing: all of
+    a column ``floor(4 * x)`` of at most four points, else its first, its
+    last and the first of its lowest and of its highest ``y``. ``x`` is
+    non-decreasing, so each column is one run of points."""
+    column = np.floor(x * _COLUMNS_PER_UNIT)
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    sizes = np.diff(starts, append=len(x))
+    if sizes.max() <= 4:
+        return np.arange(len(x))
+    keep = np.repeat(sizes <= 4, sizes)
+    keep[starts] = True
+    keep[starts + sizes - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        at = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), sizes))
+        keep[at[np.searchsorted(at, starts)]] = True  # the first in each column
+    return np.flatnonzero(keep)
 
 
 def _point_blocks(x: np.ndarray, y: np.ndarray) -> list[bytes]:
@@ -175,11 +207,10 @@ def _cents_text(v: np.ndarray, end: bytes) -> np.ndarray:
     s = np.minimum(53 - exponent, 62).astype(np.int64)
     cents = (hundred_m + (1 << (s - 1)) - 1 + ((hundred_m >> s) & 1)) >> s
     whole, frac = np.divmod(cents, 100)
-    width = len(str(int(whole.max())))
+    digits = _whole_rows(whole)
+    width = len(digits)
     text = np.empty((width + 4, len(v)), dtype=np.uint8)
-    text[:width] = _digit_rows(whole, width)
-    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
-    text[:width - 1] *= (whole >= powers[:, None]).view(np.uint8)  # no leading zeros
+    text[:width] = digits
     text[width] = ord(".")
     text[width + 1:width + 3] = _digit_rows(frac, 2)
     text[width + 3] = ord(end)

@@ -429,6 +429,18 @@ def test_filter_synth(tmp_path, capsys):
                         atol=1e-9)
 
 
+def test_filter_plot_of_a_long_series_is_small(tmp_path):
+    # 3 x 200,000 points, thinned to at most 4 per quarter unit of the
+    # 880-unit plot box; drawn whole they take 8.4 MB
+    out = tmp_path / "out"
+    code = main(["filter", "--synth", "two_cosine", "--span", "199999", "--plot",
+                 "--output-dir", str(out)])
+    assert code == 0
+    text = (out / "filter.svg").read_text()
+    assert text.count("<polyline") == 3
+    assert (out / "filter.svg").stat().st_size < 1_000_000
+
+
 def test_filter_noop_message(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["filter", "--synth", "two_cosine", "--output-dir", str(out),

@@ -1,9 +1,12 @@
 """Tests for the SVG chart writer."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastimd import TimeSeries, render_svg, two_cosine
 from fastimd import svgplot
@@ -78,8 +81,26 @@ def test_svg_draws_zero_line_only_when_crossed(tmp_path):
     assert 'stroke="#cccccc"' in (tmp_path / "cross.svg").read_text()
 
 
+def _reference_kept(xs, ys) -> list:
+    """The indices of the points a chart keeps, picked one point at a time:
+    every point of a quarter-unit column of at most four, else the column's
+    first, last, first lowest and first highest."""
+    columns = {}
+    for i, x in enumerate(xs):
+        columns.setdefault(math.floor(4 * x), []).append(i)
+    kept = []
+    for members in columns.values():
+        if len(members) > 4:
+            lowest = min(members, key=lambda i: ys[i])  # min and max return the first
+            highest = max(members, key=lambda i: ys[i])
+            members = {members[0], members[-1], lowest, highest}
+        kept.extend(members)
+    return sorted(kept)
+
+
 def _reference_svg_points(series_set) -> list:
-    """Each polyline's ``points`` as ``render_svg`` formatted them one point at a time."""
+    """Each polyline's ``points`` as ``render_svg`` picks them, formatted one
+    point at a time."""
     t_lo = min(float(s.times[0]) for s in series_set.values())
     t_hi = max(float(s.times[-1]) for s in series_set.values())
     v_lo = min(float(s.values.min()) for s in series_set.values())
@@ -100,8 +121,12 @@ def _reference_svg_points(series_set) -> list:
     def sy(v):
         return y0 + (v - v_lo) / (v_hi - v_lo) * (y1 - y0)
 
-    return [" ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(s.times, s.values))
-            for s in series_set.values()]
+    charts = []
+    for s in series_set.values():
+        xs = [sx(t) for t in s.times]
+        ys = [sy(v) for v in s.values]
+        charts.append(" ".join(f"{xs[i]:.2f},{ys[i]:.2f}" for i in _reference_kept(xs, ys)))
+    return charts
 
 
 @pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
@@ -174,3 +199,33 @@ def test_point_text_matches_percent_format():
     assert svgplot._points_text(x, y) == _reference_points_text(x, y)
     for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
         assert svgplot._points_text(x[:n], y[:n]) == _reference_points_text(x[:n], y[:n])
+
+
+# plot widths between neighbouring points, from many per quarter-unit column
+# to one column apart, and values with ties
+_STEPS = st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.1, 0.26, 1.0])
+_LEVELS = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(start=st.floats(64.0, 900.0), steps=st.lists(_STEPS, min_size=1, max_size=300),
+       levels=st.data())
+def test_thinning_keeps_each_columns_ends_and_extremes(start, steps, levels):
+    x = start + np.cumsum([0.0] + steps)
+    y = np.array(levels.draw(st.lists(_LEVELS, min_size=len(x), max_size=len(x))))
+    kept = svgplot._kept_points(x, y)
+    assert np.all(kept[1:] > kept[:-1])  # index order, each point once
+    column = np.floor(4 * x)
+    dense = False
+    for c in np.unique(column):
+        members = np.flatnonzero(column == c)
+        held = kept[column[kept] == c]
+        assert len(held) <= 4
+        assert {members[0], members[-1], members[np.argmin(y[members])],
+                members[np.argmax(y[members])]} <= set(held.tolist())
+        dense |= len(members) > 4
+        if len(members) <= 4:
+            assert held.tolist() == members.tolist()
+    if not dense:
+        assert kept.tolist() == list(range(len(x)))
+    assert kept.tolist() == _reference_kept(x.tolist(), y.tolist())
