@@ -41,7 +41,7 @@ class CubicSpline:
             raise ValueError("a spline needs at least 2 knots")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
             raise ValueError("knots must be finite")
-        if not np.all(np.diff(t) > 0.0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("knot times must be strictly increasing")
         t.flags.writeable = False
         y.flags.writeable = False
@@ -76,7 +76,7 @@ class CubicSpline:
             return np.empty(0)
         # both checks are written to fail on NaN: the interval counts below
         # are only right on a grid that is ordered throughout
-        if not np.all(np.diff(times) >= 0.0):
+        if not np.all(times[1:] >= times[:-1]):
             raise ValueError("grid times must be increasing")
         if not (times[0] >= self.t[0] and times[-1] <= self.t[-1]):
             raise ValueError(

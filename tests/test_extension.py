@@ -169,6 +169,15 @@ def test_rejects_nonsense():
         extend(t, np.array([0.0, 1.0]), "even")
 
 
+@pytest.mark.parametrize("kind", ["even", "odd", "cyclic"])
+@pytest.mark.parametrize("t", [[0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 1.0, 3.0],
+                               [0.0, 2.0, 1.0, 3.0]], ids=["nan", "equal", "decreasing"])
+def test_unordered_control_times_raise(t, kind):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        extend(np.array(t), np.array([1.0, 0.0, 2.0, 1.0]), kind,
+               start_anchor=(-1.0, 0.0), end_anchor=(4.0, 0.0))
+
+
 def test_result_is_sorted_and_superset():
     rng = np.random.default_rng(9)
     for kind in ("even", "odd", "cyclic"):

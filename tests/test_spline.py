@@ -318,6 +318,20 @@ def test_rejects_bad_input():
         build_spline([0.0, 1.0, 2.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                         ids=["nan", "equal", "decreasing"])
+def test_unordered_knots_and_grids_raise(times):
+    with pytest.raises(ValueError):
+        build_spline(times, [0.0, 1.0, 0.0])
+    sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    if times[1] != times[2]:  # an equal pair is a valid grid
+        with pytest.raises(ValueError):
+            sp.evaluate_on_grid(np.array(times))
+    # a grid ending in infinities is ordered, and outside the knot span
+    with pytest.raises(ValueError):
+        sp.evaluate_on_grid(np.array([0.0, np.inf, np.inf]))
+
+
 def test_rejects_evaluation_outside_span():
     sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
