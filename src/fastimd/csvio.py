@@ -45,10 +45,10 @@ From D and k the text is assembled in arrays as ``%g`` does it: fixed
 notation for k from -4 to 16 and exponent notation (``e+XX``/``e+XXX``)
 otherwise, trailing zeros and a bare point stripped, ``-0`` kept. Both
 writers, ``write_csv`` here and ``svgplot.render_svg``, peel digits with
-the one ``_digit_rows`` (integer parts through ``_whole_rows``), join their text with ``_join_text`` and write
-bytes through one atomic path (``_write_atomic``: temp file plus rename),
-so the numbers' text is never encoded or decoded and no platform changes
-the line ends. Written files get the mode ``open(path, "w")`` gives.
+the one ``_digit_rows`` (whole numbers through ``_whole_rows``), join
+their text with ``_join_text`` and write bytes through one atomic path
+(``_write_atomic``: temp file plus rename), so the numbers' text is never
+encoded or decoded and no platform changes the line ends. Written files get the mode ``open(path, "w")`` gives.
 """
 
 from __future__ import annotations

@@ -166,8 +166,6 @@ def _kept_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     column = np.floor(x * _COLUMNS_PER_UNIT)
     starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
     sizes = np.diff(starts, append=len(x))
-    if sizes.max() <= 4:
-        return np.arange(len(x))
     keep = np.repeat(sizes <= 4, sizes)
     keep[starts] = True
     keep[starts + sizes - 1] = True
