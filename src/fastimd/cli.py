@@ -118,9 +118,7 @@ def _load_input(args: argparse.Namespace) -> tuple:
             params[name] = value
     try:
         return synth(args.synth, **params), f"synth:{args.synth}"
-    except TypeError as exc:  # a parameter the generator does not take
-        raise CliError(1, str(exc)) from exc
-    except MemoryError as exc:  # a grid too long to allocate
+    except (TypeError, MemoryError) as exc:  # an unknown parameter, or a grid too long
         raise CliError(1, str(exc)) from exc
 
 

@@ -441,6 +441,24 @@ def test_filter_plot_of_a_long_series_is_small(tmp_path):
     assert (out / "filter.svg").stat().st_size < 1_000_000
 
 
+@pytest.mark.parametrize("command", ["filter", "decompose"])
+def test_plot_of_an_undecodable_file_name(tmp_path, capsys, command):
+    # the input's name is in the chart title; its bytes that are not UTF-8
+    # come in as lone surrogates, which the chart shows as "?"
+    try:
+        src = os.path.join(str(tmp_path), os.fsdecode(b"caf\xe9.csv"))
+        write_csv(two_cosine(), src)
+    except (OSError, UnicodeError):
+        pytest.skip("the OS refuses a file name that is not UTF-8")
+    out = tmp_path / "out"
+    argv = [command, "--input", src, "--plot", "--output-dir", str(out)]
+    if command == "filter":
+        argv += ["--block-jump", "0:20"]
+    assert main(argv) == 0
+    chart = out / ("filter.svg" if command == "filter" else "decomposition.svg")
+    assert b" of " + os.path.join(str(tmp_path), "caf?.csv").encode() in chart.read_bytes()
+
+
 def test_filter_noop_message(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["filter", "--synth", "two_cosine", "--output-dir", str(out),

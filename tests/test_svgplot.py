@@ -1,5 +1,6 @@
 """Tests for the SVG chart writer."""
 
+import hashlib
 import math
 import re
 
@@ -79,6 +80,25 @@ def test_svg_draws_zero_line_only_when_crossed(tmp_path):
     # the axis guide is the only element stroked #cccccc
     assert 'stroke="#cccccc"' not in (tmp_path / "above.svg").read_text()
     assert 'stroke="#cccccc"' in (tmp_path / "cross.svg").read_text()
+
+
+def test_svg_bytes_are_pinned(tmp_path):
+    # the whole document: part order, escaping, ticks, the zero line, one
+    # thinned polyline (2,001 points in 353 columns) and one drawn whole,
+    # the legend, and a newline after every part
+    i = np.arange(2001)
+    dense = TimeSeries(i / 200.0, ((i * 37) % 101 - 50) / 10.0)
+    j = np.arange(21)
+    sparse = TimeSeries(5.0 * j, (j % 7 - 3) * 1.5)
+    path = tmp_path / "pinned.svg"
+    render_svg({"dense": dense, "sparse": sparse}, str(path), title="pinned & <chart>")
+    data = path.read_bytes()
+    points = [len(p.split()) for p in re.findall(rb'points="([^"]*)"', data)]
+    assert points == [1201, 21]
+    assert b"pinned &amp; &lt;chart&gt;" in data and b'stroke="#cccccc"' in data
+    assert data.endswith(b"</svg>\n")
+    assert hashlib.sha256(data).hexdigest() == (
+        "a50d6d8937676380ca3382a9a65b08ae405730e28047a4ca9ab1bd897deefa06")
 
 
 def _reference_kept(xs, ys) -> list:
@@ -229,3 +249,18 @@ def test_thinning_keeps_each_columns_ends_and_extremes(start, steps, levels):
     if not dense:
         assert kept.tolist() == list(range(len(x)))
     assert kept.tolist() == _reference_kept(x.tolist(), y.tolist())
+
+
+def test_polylines_of_a_long_series_hold_at_most_four_points_per_column(tmp_path):
+    # the plot box spans the 3,521 quarter-unit columns from x = 64 to
+    # x = 944, so no polyline holds more than 14,084 points, whatever n is
+    n = 1_000_000
+    rng = np.random.default_rng(14)
+    times = np.cumsum(rng.uniform(0.5, 1.5, n))
+    series_set = {"noise": TimeSeries(times, rng.standard_normal(n)),
+                  "walk": TimeSeries(times[::2], np.cumsum(rng.standard_normal(n // 2)))}
+    path = tmp_path / "long.svg"
+    render_svg(series_set, str(path))
+    counts = [len(p.split()) for p in re.findall(r'points="([^"]*)"', path.read_text())]
+    assert len(counts) == 2
+    assert max(counts) <= 4 * 3521
