@@ -5,14 +5,13 @@ iterative spline refinement, and filters modes by extremum jump time or
 amplitude.
 """
 
-from .extension import EXTENSION_KINDS, EXTENSION_VARIANTS, extend
+from .extension import EXTENSION_KINDS, extend
 from .filtering import (
     FilterCriteria,
     FilterPass,
     FilterResult,
     MarkedList,
     build_passed_function,
-    edge_jump_times,
     filter_series,
     mark_extrema,
 )
@@ -25,18 +24,15 @@ from .imd import (
     initial_residue,
     median_points,
     refine_once,
-    turning_directions,
 )
 from .series import (
     Extrema,
     Extremum,
     ImfReport,
     TimeSeries,
-    count_zero_crossings,
     differentiate,
     find_extrema,
     imf_report,
-    inflection_control_points,
 )
 from .signals import random_walk, riding_wave, sinusoid, synth, two_cosine
 from .spline import CubicSpline, build_spline
@@ -45,9 +41,8 @@ from .svgplot import render_svg
 
 __version__ = "0.1.0"
 
-# initial_residue, refine_once, edge_jump_times, inflection_control_points
-# and EXTENSION_VARIANTS are steps of the public calls; they stay importable
-# here but are not part of the public surface
+# initial_residue and refine_once are steps of the public calls; they stay
+# importable here but are not part of the public surface
 __all__ = [
     "CubicSpline",
     "DecompositionResult",
@@ -64,7 +59,6 @@ __all__ = [
     "TimeSeries",
     "build_passed_function",
     "build_spline",
-    "count_zero_crossings",
     "decompose",
     "differentiate",
     "extend",
@@ -80,7 +74,6 @@ __all__ = [
     "riding_wave",
     "sinusoid",
     "synth",
-    "turning_directions",
     "two_cosine",
     "write_csv",
 ]

@@ -67,7 +67,8 @@ __all__ = ["read_csv", "write_csv"]
 
 
 def read_csv(path: str) -> TimeSeries:
-    """Parse a series from ``path``; malformed rows name their line number."""
+    """Parse a series from ``path``; malformed rows name their line number.
+    A file that is not UTF-8 text raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             table = _load_table(fh)
@@ -75,7 +76,10 @@ def read_csv(path: str) -> TimeSeries:
             table = None
         if table is None:
             fh.seek(0)
-            table = _scan_table(path, fh)
+            try:
+                table = _scan_table(path, fh)
+            except UnicodeDecodeError:  # its position counts from a read chunk, not the file
+                raise ValueError(f"{path}: not UTF-8 text; save the file as UTF-8") from None
     if table.shape[1] == 1:
         times, values = np.arange(len(table)), table[:, 0]
     else:

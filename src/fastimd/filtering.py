@@ -25,7 +25,6 @@ __all__ = [
     "MarkedList",
     "FilterPass",
     "FilterResult",
-    "edge_jump_times",
     "mark_extrema",
     "build_passed_function",
     "filter_series",
@@ -96,35 +95,18 @@ class FilterResult:
         return len(self.diagnostics)
 
 
-def _padded_extrema(imf: TimeSeries) -> tuple[Extrema, np.ndarray, np.ndarray]:
-    """The component's extrema, plus their times and values with the series
-    endpoint samples standing in for the missing outer neighbours of the
-    first and last extremum."""
-    ext = find_extrema(imf)
-    seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]]))
-    seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]]))
-    return ext, seq_t, seq_v
-
-
-def edge_jump_times(imf: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Durations of the monotone edges into and out of each extremum.
-
-    Front edge of extremum k is t_k - t_{k-1}, back edge t_{k+1} - t_k,
-    over adjacent extremum times; the series endpoints stand in for the
-    missing outer neighbours of the first and last extremum. Empty arrays
-    when the component has no extrema.
-    """
-    edges = np.diff(_padded_extrema(imf)[1])
-    return edges[:-1].copy(), edges[1:].copy()
-
-
 def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
     """Group the component's extrema into maximal runs to filter out.
 
-    An extremum is marked when either adjacent edge duration falls in any
-    blocked [lo, hi) range, or when 0 < |value| < amplitude_floor.
+    An extremum is marked when the duration of either adjacent monotone
+    edge, the time since the previous extremum or until the next, falls in
+    any blocked [lo, hi) range, or when 0 < |value| < amplitude_floor. The
+    series endpoint samples stand in for the missing outer neighbours of the
+    first and last extremum.
     """
-    ext, seq_t, seq_v = _padded_extrema(imf)
+    ext = find_extrema(imf)
+    padded = np.concatenate(([0], ext.index, [len(imf) - 1]))
+    seq_t, seq_v = imf.times[padded], imf.values[padded]
     edges = np.diff(seq_t)
     marked = np.zeros(len(ext), dtype=bool)
     for lo, hi in criteria.jump_time_blocks:

@@ -19,19 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .extension import EXTENSION_KINDS, extend
-from .series import (
-    TimeSeries,
-    _overflow_checked,
-    find_extrema,
-    inflection_control_points,
-)
+from .series import TimeSeries, _overflow_checked, differentiate, find_extrema
 from .spline import _time_unit, build_spline
 
 __all__ = [
     "RefinementConfig",
     "ModeComponent",
     "DecompositionResult",
-    "turning_directions",
     "median_points",
     "initial_residue",
     "refine_once",
@@ -118,23 +112,6 @@ class DecompositionResult:
     final_residue: TimeSeries
 
 
-def turning_directions(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross products of consecutive control-polyline segment vectors.
-
-    For each interior point the z-component of (P_i - P_{i-1}) x
-    (P_{i+1} - P_i): positive on a left turn, negative on a right turn, zero
-    when the three points are collinear. Output is two shorter than the
-    input.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if len(t) < 3:
-        raise ValueError("turning directions need at least 3 points")
-    dt = np.diff(t)
-    dv = np.diff(v)
-    return dt[:-1] * dv[1:] - dv[:-1] * dt[1:]
-
-
 def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residue control points for an extended control sequence.
 
@@ -149,10 +126,14 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     v = np.asarray(v, dtype=np.float64)
     if len(t) < 5:
         raise ValueError("median points need at least 5 points")
-    # compare signs, not products: products of turning directions underflow
-    # to zero or overflow at extreme value scales; for the same reason time
-    # is measured in a power-of-two unit near the mean spacing
-    sign = np.sign(turning_directions(t / _time_unit(t), v))
+    # an interior point's turning direction is the sign of the cross product
+    # (P_i - P_{i-1}) x (P_{i+1} - P_i). Compare signs, not products: products
+    # of cross products underflow to zero or overflow at extreme value scales;
+    # for the same reason time is measured in a power-of-two unit near the
+    # mean spacing
+    dt = np.diff(t / _time_unit(t))
+    dv = np.diff(v)
+    sign = np.sign(dt[:-1] * dv[1:] - dv[:-1] * dt[1:])
     flip = sign[:-1] * sign[1:] < 0.0
     use_median = flip[:-1] | flip[1:]
     return t[2:-2].copy(), np.where(use_median, _chord_midpoints(t[1:-1], v[1:-1]), v[2:-2])
@@ -183,12 +164,14 @@ def initial_residue(data: TimeSeries, initialization: str = "derivative") -> Opt
     """
     if initialization not in INITIALIZATIONS:
         raise ValueError(f"unknown initialization {initialization!r}")
-    ct, cv = inflection_control_points(data)
-    if len(ct) < 3:
+    if len(data) < 3:
+        return None
+    idx = find_extrema(differentiate(data)).index
+    if len(idx) < 3:
         return None
     if initialization == "data_function":
         return data.with_values(np.zeros(len(data)))
-    return data.with_values(np.interp(data.times, ct, cv))
+    return data.with_values(np.interp(data.times, data.times[idx], data.values[idx]))
 
 
 def refine_once(
@@ -213,13 +196,12 @@ def refine_once(
     if len(idx) < 3:
         return None
     start, end = (data.times[0], data.values[0]), (data.times[-1], data.values[-1])
-    ct = data.times[idx]
-    cv = data.values[idx]
+    ctrl = idx
     if cfg.extension in ("even", "cyclic"):
         # the series endpoints count as the outermost control points; the
         # extension then pivots on the data boundary itself
-        ct = np.concatenate(([data.times[0]], ct, [data.times[-1]]))
-        cv = np.concatenate(([data.values[0]], cv, [data.values[-1]]))
+        ctrl = np.concatenate(([0], idx, [len(data) - 1]))
+    ct, cv = data.times[ctrl], data.values[ctrl]
     # an overflow shows as a non-finite knot or residue, and is reported by
     # the checks below instead of by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,8 +1,8 @@
 """Sampled-series primitives.
 
-Differentiation, extrema and zero-crossing detection, curvature turning
-points, and the two-count oscillation check used to judge decomposed
-components. Everything here is a pure function of immutable inputs.
+Differentiation, extremum detection, and the oscillation check that
+compares a decomposed component's zero crossings with its extrema.
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ __all__ = [
     "ImfReport",
     "differentiate",
     "find_extrema",
-    "count_zero_crossings",
-    "inflection_control_points",
     "imf_report",
 ]
 
@@ -185,32 +183,6 @@ def find_extrema(s: TimeSeries) -> Extrema:
     return Extrema(idx, s.times[idx], v[idx], rising[turn])
 
 
-def count_zero_crossings(s: TimeSeries) -> int:
-    """Number of sign changes along the series.
-
-    A run of exact zeros flanked by opposite signs counts as one crossing;
-    flanked by equal signs it counts as none.
-    """
-    signs = np.sign(s.values)
-    nonzero = signs[signs != 0.0]
-    if len(nonzero) < 2:
-        return 0
-    return int(np.count_nonzero(nonzero[1:] != nonzero[:-1]))
-
-
-def inflection_control_points(s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature turning points of the sampled signal.
-
-    Returns the sample times where the first derivative has a local extremum,
-    paired with the series values at those samples. A linear series yields an
-    empty pair, as does any series too short to differentiate.
-    """
-    if len(s) < 3:
-        return np.empty(0), np.empty(0)
-    idx = find_extrema(differentiate(s)).index
-    return s.times[idx], s.values[idx]
-
-
 def imf_report(imf: TimeSeries) -> ImfReport:
     """Check a candidate component against the oscillation-count condition.
 
@@ -222,12 +194,12 @@ def imf_report(imf: TimeSeries) -> ImfReport:
     how the component oscillates. The condition then fails precisely when
     consecutive nonzero extrema sit on the same side of zero.
     """
-    # every interior touch or crossing of the zero line is one event: sign
-    # flips across zero runs, plus zero runs whose two flanks agree in sign
+    # every interior touch or crossing of the zero line is one event: a pair
+    # of consecutive nonzero samples whose signs differ or that have zeros
+    # between them
     signs = np.sign(imf.values)
     nz = np.flatnonzero(signs)
-    touches = np.count_nonzero((np.diff(nz) > 1) & (signs[nz[1:]] == signs[nz[:-1]]))
-    crossings = count_zero_crossings(imf) + touches
+    crossings = int(np.count_nonzero((np.diff(nz) > 1) | (signs[nz[1:]] != signs[nz[:-1]])))
     oscillating = int(np.count_nonzero(find_extrema(imf).value))
     return ImfReport(
         zero_crossings=crossings,

@@ -576,6 +576,19 @@ def test_exit_2_on_io_failure(tmp_path, capsys):
         assert not list(out.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param("ann\u00e9e,valeur\n0,1\n1,2\n2,3\n".encode("latin-1"), id="latin-1"),
+    pytest.param("time,value\n0,1\n1,2\n2,3\n".encode("utf-16"), id="utf-16"),
+])
+def test_exit_2_on_a_file_that_is_not_utf8(tmp_path, capsys, raw):
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+    assert main(["decompose", "--input", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"fastimd: error: {path}: ")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, source", [
     ("decompose", 1e307),

@@ -15,7 +15,6 @@ from fastimd import (
     TimeSeries,
     build_passed_function,
     build_spline,
-    edge_jump_times,
     extract_mode,
     filter_series,
     find_extrema,
@@ -42,35 +41,55 @@ def uniform_cosine():
 # edge durations
 # ---------------------------------------------------------------------------
 
+def edges(imf):
+    """Durations of the monotone edges between adjacent extrema, the series
+    endpoints standing in for the outer neighbours of the first and last
+    extremum: extremum k has front edge k and back edge k + 1."""
+    ext = find_extrema(imf)
+    return np.diff(np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]])))
+
+
 def test_edges_frozen():
-    front, back = edge_jump_times(small_saw())
-    npt.assert_array_equal(front, [1.0, 2.0, 2.0, 2.0])
-    npt.assert_array_equal(back, [2.0, 2.0, 2.0, 1.0])
+    s = small_saw()
+    npt.assert_array_equal(edges(s), [1.0, 2.0, 2.0, 2.0, 1.0])
+    # every extremum has a 2-unit edge; the outer ones also a 1-unit edge
+    lists = mark_extrema(s, FilterCriteria(jump_time_blocks=((2.0, 3.0),)))
+    assert [[e.time for e in run.extrema] for run in lists] == [[1.0, 3.0, 5.0, 7.0]]
+    lists = mark_extrema(s, FilterCriteria(jump_time_blocks=((1.0, 2.0),)))
+    assert [[e.time for e in run.extrema] for run in lists] == [[1.0], [7.0]]
 
 
 def test_edges_uniform_cosine():
-    front, back = edge_jump_times(uniform_cosine())
     # extrema every half period; endpoints supply the outer neighbours
-    npt.assert_array_equal(front, np.full(9, 10.0))
-    npt.assert_array_equal(back, np.full(9, 10.0))
+    npt.assert_array_equal(edges(uniform_cosine()), np.full(10, 10.0))
 
 
 def test_edges_empty_without_extrema():
+    # the one edge spans the whole series and has no extremum to mark
     t = np.arange(10.0)
-    front, back = edge_jump_times(TimeSeries(t, 2.0 * t))
-    assert front.shape == (0,)
-    assert back.shape == (0,)
+    s = TimeSeries(t, 2.0 * t)
+    npt.assert_array_equal(edges(s), [9.0])
+    assert mark_extrema(s, FilterCriteria(jump_time_blocks=((0.0, 100.0),))) == []
 
 
 def test_edges_pair_up():
-    # back edge of extremum k is the front edge of extremum k+1
+    # the back edge of extremum k is the front edge of extremum k + 1, so
+    # blocking one interior edge marks exactly those two extrema
     rng = np.random.default_rng(33)
+    cases = 0
     for _ in range(20):
         n = int(rng.integers(20, 120))
-        s = TimeSeries(np.arange(float(n)), np.cumsum(rng.normal(size=n)))
-        front, back = edge_jump_times(s)
-        if len(front) > 1:
-            npt.assert_array_equal(back[:-1], front[1:])
+        s = TimeSeries(np.cumsum(rng.uniform(0.5, 1.5, n)), np.cumsum(rng.normal(size=n)))
+        ext, e = find_extrema(s), edges(s)
+        for k in range(1, len(e) - 1):
+            if np.count_nonzero(e == e[k]) > 1:
+                continue
+            block = ((float(e[k]), float(np.nextafter(e[k], np.inf))),)
+            lists = mark_extrema(s, FilterCriteria(jump_time_blocks=block))
+            assert len(lists) == 1
+            npt.assert_array_equal(lists[0].extrema.index, ext.index[k - 1:k + 1])
+            cases += 1
+    assert cases > 100
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +204,11 @@ def _reference_mark_extrema(imf, criteria):
     """Runs as (extremum sample indices, anchor_before, anchor_after), found
     by a loop over the marks."""
     ext = find_extrema(imf)
-    front, back = edge_jump_times(imf)
+    durations = edges(imf)
     marked = np.zeros(len(ext), dtype=bool)
     for lo, hi in criteria.jump_time_blocks:
-        for edges in (front, back):
-            marked |= (edges >= lo) & (edges < hi)
+        for side in (durations[:-1], durations[1:]):
+            marked |= (side >= lo) & (side < hi)
     if criteria.amplitude_floor > 0.0:
         v = np.abs(ext.value)
         marked |= (v > 0.0) & (v < criteria.amplitude_floor)

@@ -1,12 +1,15 @@
 """Tests for the TimeSeries container and the scan utilities built on it.
 
 Covers construction invariants, finite differencing, extremum and plateau
-detection, zero-crossing counts, inflection control points, and the
-oscillation report.  Expected values for the synthetic signals were frozen
+detection, curvature turning points (the derivative's extrema), and the
+oscillation report with its zero-crossing count.  Expected values for the synthetic signals were frozen
 from analytic calculations: derivative sign changes for extremum counts,
 cosine roots for crossing counts, second-derivative roots for inflection
 times.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -14,12 +17,12 @@ import pytest
 
 from fastimd import (
     Extremum,
+    ImfReport,
     TimeSeries,
-    count_zero_crossings,
+    decompose,
     differentiate,
     find_extrema,
     imf_report,
-    inflection_control_points,
     initial_residue,
     random_walk,
     two_cosine,
@@ -253,49 +256,55 @@ def test_extrema_match_reference_on_walks():
 
 
 # ---------------------------------------------------------------------------
-# zero crossings
+# zero crossings, as the oscillation report counts them
 # ---------------------------------------------------------------------------
 
+def crossings(values):
+    return imf_report(TimeSeries(np.arange(float(len(values))), np.array(values))).zero_crossings
+
+
 def test_crossing_simple():
-    s = TimeSeries(np.arange(3.0), np.array([1.0, -1.0, 1.0]))
-    assert count_zero_crossings(s) == 2
+    assert crossings([1.0, -1.0, 1.0]) == 2
 
 
 def test_no_crossings_when_one_signed():
-    s = TimeSeries(np.arange(4.0), np.array([1.0, 2.0, 0.5, 3.0]))
-    assert count_zero_crossings(s) == 0
+    assert crossings([1.0, 2.0, 0.5, 3.0]) == 0
 
 
 def test_crossing_through_exact_zero():
-    s = TimeSeries(np.arange(3.0), np.array([1.0, 0.0, -1.0]))
-    assert count_zero_crossings(s) == 1
-    s = TimeSeries(np.arange(3.0), np.array([1.0, 0.0, 1.0]))
-    assert count_zero_crossings(s) == 0
-    s = TimeSeries(np.arange(4.0), np.array([1.0, 0.0, 0.0, -1.0]))
-    assert count_zero_crossings(s) == 1
+    assert crossings([1.0, 0.0, -1.0]) == 1
+    # a touch of the zero line between equal signs is one event too
+    assert crossings([1.0, 0.0, 1.0]) == 1
+    assert crossings([1.0, 0.0, 0.0, -1.0]) == 1
 
 
 def test_cosine_crossing_count():
     # 30 cos(pi t / 15) on [0, 300]: analytic roots at 7.5 + 15 k, twenty of them
     t = np.arange(301.0)
-    s = TimeSeries(t, 30.0 * np.cos(np.pi * t / 15.0))
-    assert count_zero_crossings(s) == 20
+    assert crossings(30.0 * np.cos(np.pi * t / 15.0)) == 20
 
 
 # ---------------------------------------------------------------------------
-# inflection control points
+# curvature turning points: the derivative's extrema, which the derivative
+# initialization interpolates
 # ---------------------------------------------------------------------------
 
 def test_inflection_on_line_is_empty():
     t = np.arange(10.0)
-    ct, cv = inflection_control_points(TimeSeries(t, 3.0 * t + 1.0))
-    assert len(ct) == 0
-    assert len(cv) == 0
+    line = TimeSeries(t, 3.0 * t + 1.0)
+    assert len(find_extrema(differentiate(line))) == 0
+    assert initial_residue(line) is None
+    # too short to differentiate
+    assert initial_residue(TimeSeries(t[:2], t[:2])) is None
 
 
 def test_inflection_on_sine():
     t = np.arange(0.0, 4.0 * np.pi, 0.01)
-    ct, cv = inflection_control_points(TimeSeries(t, np.sin(t)))
+    s = TimeSeries(t, np.sin(t))
+    idx = find_extrema(differentiate(s)).index
+    ct, cv = t[idx], s.values[idx]
+    # the initial residue passes through the turning points
+    npt.assert_array_equal(initial_residue(s).values[idx], cv)
     # inflections of sin are its roots; values there are near zero
     assert len(ct) == 3
     for x in ct:
@@ -307,7 +316,7 @@ def test_inflection_matches_analytic_second_derivative():
     """Control times of the two-cosine signal land within one sample step of
     the roots of its analytic second derivative."""
     s = two_cosine()
-    ct, cv = inflection_control_points(s)
+    ct = s.times[find_extrema(differentiate(s)).index]
     tt = np.linspace(0.0, 900.0, 900001)
     fpp = (
         -70.0 * (np.pi / 150.0) ** 2 * np.cos(np.pi * tt / 150.0)
@@ -359,3 +368,11 @@ def test_report_flags_one_signed_wobble():
 def test_report_counts_interior_zero_runs(values, crossings):
     s = TimeSeries(np.arange(float(len(values))), np.array(values))
     assert imf_report(s).zero_crossings == crossings
+
+
+def test_report_fields_are_plain_python_values():
+    rep = imf_report(decompose(two_cosine()).modes[0].imf)
+    assert type(rep.zero_crossings) is int
+    assert type(rep.extrema_count) is int
+    assert rep.condition1_ok is True
+    assert ImfReport(**json.loads(json.dumps(dataclasses.asdict(rep)))) == rep

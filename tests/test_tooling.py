@@ -4,10 +4,25 @@ A ``hypothesis`` test that also carries ``pytest.mark.filterwarnings("error")``
 turns its own failure into a pytest ``INTERNALERROR`` that ends the whole
 session: hypothesis's report hook meets a DeprecationWarning, which the mark
 makes an error. Property tests rely on the ``pyproject.toml`` filters instead.
+
+The package's public names are pinned here, so a change that grows or
+shrinks the surface has to edit the pin on purpose.
 """
 
 import ast
 import os
+
+import fastimd
+
+PUBLIC_NAMES = [
+    "CubicSpline", "DecompositionResult", "EXTENSION_KINDS", "Extrema", "Extremum",
+    "FilterCriteria", "FilterPass", "FilterResult", "ImfReport", "MarkedList",
+    "ModeComponent", "RefinementConfig", "TimeSeries", "build_passed_function",
+    "build_spline", "decompose", "differentiate", "extend", "extract_mode",
+    "filter_series", "find_extrema", "imf_report", "mark_extrema", "median_points",
+    "random_walk", "read_csv", "render_svg", "riding_wave", "sinusoid", "synth",
+    "two_cosine", "write_csv",
+]
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("tests", "perfbench")
@@ -109,3 +124,8 @@ def test_unmarked(x): pass
     module = 'import pytest\npytestmark = [pytest.mark.filterwarnings("error")]\n'
     assert given_with_error_filter(module + source) == [
         "test_marked", "test_dotted", "test_runtime_only", "test_unmarked"]
+
+
+def test_the_public_surface_is_pinned():
+    assert sorted(fastimd.__all__) == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(fastimd, name)] == []
