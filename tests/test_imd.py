@@ -103,6 +103,11 @@ def test_median_alternating_collapses_to_chord_average():
     npt.assert_allclose(mv, 0.0, atol=1e-12)
 
 
+def test_turning_needs_three_points():
+    with pytest.raises(ValueError):
+        median_points(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+
 def test_median_needs_five_points():
     for n in (3, 4):
         with pytest.raises(ValueError):
