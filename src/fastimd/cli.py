@@ -98,7 +98,10 @@ def build_parser() -> _Parser:
     _add_io_arguments(flt)
     _add_refinement_arguments(flt)
     flt.add_argument("--block-jump", type=_jump_block, action="append", default=[],
-                     metavar="LO:HI", help="block extrema with edge jump time in [LO, HI)")
+                     metavar="LO:HI",
+                     help="block extrema with edge jump time in [LO, HI); write a "
+                          "negative LO with '=', as in --block-jump=-inf:20, since "
+                          "a separate argument starting with '-' reads as an option")
     flt.add_argument("--amp-floor", type=float, default=0.0,
                      help="block extrema with 0 < |value| < AMP_FLOOR")
     flt.add_argument("--max-passes", type=int, default=8)

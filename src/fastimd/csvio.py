@@ -9,7 +9,9 @@ digits so a written series reads back bit-faithfully.
 ``read_csv`` parses a well-formed body in one ``np.loadtxt`` call. Any file
 that call rejects is read again by a line scan, which decides what is valid
 and names the line of the first fault; both give the same bits for every
-file they both accept.
+file they both accept. Numbers are ASCII decimal literals (``nan`` and
+``inf`` included): the scan rejects, as numpy does, the digit-group
+underscores and non-ASCII digits Python's ``float`` would read.
 
 ``write_csv`` writes every value as ``"%.17g" %`` does, byte for byte, but
 from arrays, one block of ``_CHUNK`` rows at a time (Grisu's idea of an
@@ -94,8 +96,9 @@ def _load_table(fh: TextIO) -> np.ndarray | None:
     """The rows of a well-formed file in one array call, else None.
 
     numpy converts each field with the parser ``float`` uses, so every value
-    it reads has the bits the line scan would give; what it rejects (an
-    underscore, a non-ASCII digit, a blank line of spaces) goes to the scan.
+    it reads has the bits the line scan would give; what it rejects goes to
+    the scan, which then rejects an underscore or a non-ASCII digit too and
+    skips a blank line of spaces.
     """
     lines = iter(fh)
     first = next(lines, "")
@@ -120,6 +123,8 @@ def _scan_table(path: str, fh: TextIO) -> np.ndarray:
             continue
         fields = [f.strip() for f in line.split(",")]
         try:
+            if any("_" in f or not f.isascii() for f in fields):
+                raise ValueError("not an ASCII decimal literal")
             numbers = [float(f) for f in fields]
         except ValueError:
             # a fully non-numeric first line is a header; anything else is bad data

@@ -55,7 +55,7 @@ def extend(
     v = np.asarray(v, dtype=np.float64)
     if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
         raise ValueError("control times and values must be 1-d and equally long")
-    if not np.all(t[1:] > t[:-1]):
+    if not (t[1:] > t[:-1]).all():
         raise ValueError("control times must be strictly increasing")
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
@@ -100,6 +100,6 @@ def extend(
 
     out_t = np.concatenate([head_t, t, tail_t])
     out_v = np.concatenate([head_v, v, tail_v])
-    if not np.all(out_t[1:] > out_t[:-1]):
+    if not (out_t[1:] > out_t[:-1]).all():
         raise ValueError("extension produced non-increasing times")
     return out_t, out_v

@@ -131,8 +131,9 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # of cross products underflow to zero or overflow at extreme value scales;
     # for the same reason time is measured in a power-of-two unit near the
     # mean spacing
-    dt = np.diff(t / _time_unit(t))
-    dv = np.diff(v)
+    tu = t / _time_unit(t)
+    dt = tu[1:] - tu[:-1]
+    dv = v[1:] - v[:-1]
     sign = np.sign(dt[:-1] * dv[1:] - dv[:-1] * dt[1:])
     flip = sign[:-1] * sign[1:] < 0.0
     use_median = flip[:-1] | flip[1:]
@@ -195,12 +196,13 @@ def refine_once(
     idx = find_extrema(current_imf).index
     if len(idx) < 3:
         return None
+    n = len(data)
     start, end = (data.times[0], data.values[0]), (data.times[-1], data.values[-1])
     ctrl = idx
     if cfg.extension in ("even", "cyclic"):
         # the series endpoints count as the outermost control points; the
         # extension then pivots on the data boundary itself
-        ctrl = np.concatenate(([0], idx, [len(data) - 1]))
+        ctrl = np.concatenate(([0], idx, [n - 1]))
     ct, cv = data.times[ctrl], data.values[ctrl]
     # an overflow shows as a non-finite knot or residue, and is reported by
     # the checks below instead of by numpy warnings
@@ -211,10 +213,16 @@ def refine_once(
         # under every extension kind, so the spline covers the whole grid
         st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
         spline = build_spline(st, _overflow_checked(sv))
-        residue_vals = spline.evaluate_on_grid(data.times)
+        # every knot but the two extension knots past each data end is the
+        # data sample at ctrl, so where the knots fall in the grid is known
+        # without a search (the spline checks it)
+        residue_vals = spline.evaluate_on_grid(
+            data.times, knot_index=np.concatenate(([0, 0], ctrl, [n, n]))
+        )
         # the data is finite, so a non-finite residue shows here too
         imf_vals = _overflow_checked(data.values - residue_vals)
-    return data.with_values(residue_vals), data.with_values(imf_vals), len(idx)
+    # both arrays are fresh and now known to be finite
+    return data._with_fresh_values(residue_vals), data._with_fresh_values(imf_vals), len(idx)
 
 
 def extract_mode(

@@ -74,8 +74,18 @@ class TimeSeries:
             raise ValueError(
                 f"values of shape {values.shape} do not fit a grid of {len(self.times)} samples"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
+        return self._with_fresh_values(values)
+
+    def _with_fresh_values(self, values: np.ndarray) -> "TimeSeries":
+        """A new series on the same grid that takes ``values`` as it is,
+        with no copy and no check, and makes it read-only.
+
+        The caller hands over a float64 array of the grid's length that it
+        has just computed, has shown to be finite, and keeps no other
+        reference to.
+        """
         values.flags.writeable = False
         series = object.__new__(TimeSeries)
         object.__setattr__(series, "times", self.times)
@@ -144,7 +154,7 @@ def differentiate(s: TimeSeries) -> TimeSeries:
         d[1:-1] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
         d[0] = (v[1] - v[0]) / (t[1] - t[0])
         d[-1] = (v[-1] - v[-2]) / (t[-1] - t[-2])
-    return s.with_values(_overflow_checked(d))
+    return s._with_fresh_values(_overflow_checked(d))
 
 
 def _overflow_checked(values: np.ndarray) -> np.ndarray:
@@ -153,7 +163,7 @@ def _overflow_checked(values: np.ndarray) -> np.ndarray:
     Callers pass values computed from finite data, so a non-finite one
     means the arithmetic overflowed float64.
     """
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise FloatingPointError(
             "values overflowed float64; "
             "rescale the input, for example divide it by its spread"
@@ -174,11 +184,11 @@ def find_extrema(s: TimeSeries) -> Extrema:
     v = s.values
     # neighbours are compared, not subtracted, so values near the float64
     # limit cannot overflow
-    moves = np.flatnonzero(v[1:] != v[:-1])
+    moves = (v[1:] != v[:-1]).nonzero()[0]
     rising = (v[1:] > v[:-1])[moves]
     # consecutive nonzero steps that change direction enclose one run of
     # equal values: samples moves[k] + 1 through moves[k + 1]
-    turn = np.flatnonzero(rising[:-1] != rising[1:])
+    turn = (rising[:-1] != rising[1:]).nonzero()[0]
     idx = (moves[turn] + 1 + moves[turn + 1]) // 2
     return Extrema(idx, s.times[idx], v[idx], rising[turn])
 

@@ -6,16 +6,19 @@ cyclic reduction over whole arrays, so construction stays linear in the
 knot count and takes O(log n) numpy steps. Two knots degrade to the
 straight line through them under natural ends.
 
-Evaluation on a sorted grid of n points costs O(n + m log n) for m knots.
+Evaluation on a sorted grid of n points costs O(n + m log n) for m knots,
+or O(n + m) when the caller already knows where the knots fall in the grid.
 Each knot interval gets four cubic coefficients in its own normalized
 variable, computed once per interval. One search of the knots into the grid
-counts the points per interval; one interval index per point, repeated from
-those counts, gathers the coefficients, and Horner's rule evaluates them.
+(or a check of the given positions) counts the points per interval; one
+interval index per point, repeated from those counts, gathers the
+coefficients, and Horner's rule evaluates them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import math
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,9 +42,9 @@ class CubicSpline:
             raise ValueError("knot times and values must be 1-d and equally long")
         if len(t) < 2:
             raise ValueError("a spline needs at least 2 knots")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
+        if not np.isfinite(t).all() or not np.isfinite(y).all():
             raise ValueError("knots must be finite")
-        if not np.all(t[1:] > t[:-1]):
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("knot times must be strictly increasing")
         t.flags.writeable = False
         y.flags.writeable = False
@@ -57,7 +60,9 @@ class CubicSpline:
         """Value of the interpolant at one point inside the knot span."""
         return float(self.evaluate_on_grid([float(x)])[0])
 
-    def evaluate_on_grid(self, times: ArrayLike) -> np.ndarray:
+    def evaluate_on_grid(
+        self, times: ArrayLike, *, knot_index: Optional[ArrayLike] = None
+    ) -> np.ndarray:
         """Values at a non-decreasing sequence of points inside the knot span.
 
         On interval i, with h = t[i + 1] - t[i] and b = (x - t[i]) / h, the
@@ -68,6 +73,12 @@ class CubicSpline:
         coefficients, so evaluation costs O(n + m log n). A point on an
         interior knot belongs to the interval that starts there and gets
         its value exactly (b = 0); a point on the last knot gets y[-1].
+
+        ``knot_index``, when given, replaces the search: it must equal
+        ``np.searchsorted(times, self.t, side="left")``, the number of grid
+        points below each knot. It is checked against that definition in
+        O(m), and ValueError is raised if it fails, so evaluation then costs
+        O(n + m) and gives the same bits as the search.
         """
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1:
@@ -76,7 +87,7 @@ class CubicSpline:
             return np.empty(0)
         # both checks are written to fail on NaN: the interval counts below
         # are only right on a grid that is ordered throughout
-        if not np.all(times[1:] >= times[:-1]):
+        if not (times[1:] >= times[:-1]).all():
             raise ValueError("grid times must be increasing")
         if not (times[0] >= self.t[0] and times[-1] <= self.t[-1]):
             raise ValueError(
@@ -90,7 +101,7 @@ class CubicSpline:
         # unit. Each moment is scaled by hu^2 / 6 before the two are added:
         # scaled, they are of the size of the values, while on an interval
         # shorter than the time unit 2 m[i] + m[i + 1] can overflow
-        h = np.diff(t)
+        h = t[1:] - t[:-1]
         hh = (h / self._unit) ** 2
         lo = m[:-1] * hh / 6.0
         hi = m[1:] * hh / 6.0
@@ -98,8 +109,11 @@ class CubicSpline:
         # points starts[i] .. starts[i + 1] - 1 lie in interval i; the points
         # on the last knot, from starts[-1] on, join the last interval and
         # are set to y[-1] at the end
-        starts = np.searchsorted(times, t, side="left")
-        counts = np.diff(starts)
+        if knot_index is None:
+            starts = np.searchsorted(times, t, side="left")
+        else:
+            starts = _checked_knot_index(times, t, knot_index)
+        counts = starts[1:] - starts[:-1]
         counts[-1] += len(times) - starts[-1]
         which = np.repeat(np.arange(len(h)), counts)
 
@@ -127,18 +141,46 @@ def build_spline(t: ArrayLike, y: ArrayLike, flat_ends: bool = False) -> CubicSp
     return CubicSpline(t, y, flat_ends)
 
 
+def _checked_knot_index(times: np.ndarray, t: np.ndarray, knot_index: ArrayLike) -> np.ndarray:
+    """``knot_index`` as an array, once it is shown to be what
+    ``np.searchsorted(times, t, side="left")`` returns for the sorted grid
+    ``times``: for each knot, the number of grid points below it. O(m)."""
+    k = np.asarray(knot_index)
+    n = len(times)
+    if k.shape != t.shape or k.dtype.kind not in "iu":
+        raise ValueError(f"knot_index must hold one integer for each of the {len(t)} knots")
+    if not ((k[1:] >= k[:-1]).all() and k[0] >= 0 and k[-1] <= n):
+        raise ValueError(f"knot_index must be non-decreasing within [0, {n}]")
+    # the grid point before knot j's position lies below the knot, and the
+    # one at it does not; knots before or past the whole grid have only one
+    first, stop = k.searchsorted(0, side="right"), k.searchsorted(n, side="left")
+    if not ((times[k[first:] - 1] < t[first:]).all() and (t[:stop] <= times[k[:stop]]).all()):
+        raise ValueError("knot_index is not the grid position of every knot")
+    return k
+
+
 def _time_unit(t: np.ndarray) -> float:
     """The largest power of two not above the mean spacing of ``t``;
-    dividing times by it is exact."""
-    return float(np.ldexp(1.0, np.frexp((t[-1] - t[0]) / (len(t) - 1))[1] - 1))
+    dividing times by it is exact.
+
+    A span past the float64 limit is halved before it is formed, so the
+    unit is then at most half the mean spacing; any power-of-two unit that
+    keeps the scaled times normal gives the same result bits. Any other span
+    is formed whole, since halving a subnormal time rounds.
+    """
+    first, last = float(t[0]), float(t[-1])
+    span = last - first
+    if span == math.inf:
+        span = last * 0.5 - first * 0.5
+    return math.ldexp(1.0, math.frexp(span / (len(t) - 1))[1] - 1)
 
 
 def _solve_moments(t, y, flat_ends):
     """Second derivatives at the knots (the spline moments); natural ends,
     or ends clamped to zero slope when ``flat_ends`` is true."""
     n = len(t)
-    h = np.diff(t)
-    slope = np.diff(y) / h
+    h = t[1:] - t[:-1]
+    slope = (y[1:] - y[:-1]) / h
 
     lower = np.zeros(n)
     diag = np.zeros(n)

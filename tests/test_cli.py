@@ -82,6 +82,33 @@ def test_csv_errors_name_the_line(tmp_path):
         read_csv(str(p))
 
 
+@pytest.mark.parametrize("field", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+def test_csv_rejects_what_numpy_rejects(tmp_path, capsys, field):
+    # Python's float reads both spellings, np.loadtxt neither; the line scan
+    # follows numpy, so the file fails in both and names its line
+    p = tmp_path / "odd.csv"
+    p.write_text(f"time,value\n0,1\n1,{field}\n2,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3"):
+        read_csv(str(p))
+    assert main(["decompose", "--input", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"fastimd: error: {p}: line 3: ")
+
+
+def test_csv_reads_ascii_literals(tmp_path):
+    # both parsers read these; a series then rejects the non-finite ones
+    p = tmp_path / "spellings.csv"
+    p.write_text("0,nan\n1,inf\n2,+1e3\n3,.5\n4,1.\n5,-Infinity\n")
+    want = [[0.0, np.nan], [1.0, np.inf], [2.0, 1e3], [3.0, 0.5], [4.0, 1.0], [5.0, -np.inf]]
+    with open(p, encoding="utf-8-sig") as fh:
+        npt.assert_array_equal(csvio._scan_table(str(p), fh), want)
+    with open(p, encoding="utf-8-sig") as fh:
+        npt.assert_array_equal(csvio._load_table(fh), want)
+    with pytest.raises(ValueError, match="must be finite"):
+        read_csv(str(p))
+
+
 def test_csv_skips_blank_lines(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("0,1\n\n1,2\n\n")
@@ -494,6 +521,21 @@ def test_exit_1_on_bad_usage(tmp_path, capsys):
     # only decompose takes --max-modes
     assert main(["filter", "--synth", "two_cosine", "--max-modes", "2"]) == 1
     assert "fastimd: error: unrecognized arguments: --max-modes 2" in capsys.readouterr().err
+
+
+def test_negative_block_jump_needs_the_equals_form(tmp_path, capsys):
+    # argparse reads a separate argument starting with '-' as an option
+    out = str(tmp_path / "out")
+    assert main(["filter", "--synth", "two_cosine", "--output-dir", out,
+                 "--block-jump=-inf:inf"]) == 0
+    capsys.readouterr()
+    for bound in ("-inf:inf", "-1:20"):
+        assert main(["filter", "--synth", "two_cosine", "--output-dir", out,
+                     "--block-jump", bound]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["fastimd filter: error: argument --block-jump: expected one argument"]
 
 
 def test_exit_1_on_bad_synth(tmp_path, capsys):

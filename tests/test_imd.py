@@ -179,7 +179,8 @@ def test_refine_once_cosine_fixed_point():
 
 def _reference_refine_once(data, current_imf, cfg):
     """One refinement pass that clips the data grid to the spline's knot
-    span before evaluating; ``refine_once`` must match it bit for bit."""
+    span and evaluates it through the knot search; ``refine_once``, which
+    passes the knots' grid positions instead, must match it bit for bit."""
     idx = find_extrema(current_imf).index
     if len(idx) < 3:
         return None
@@ -229,6 +230,8 @@ def test_refine_once_matches_clipped_reference(extension):
                 assert got == want
                 break
             residue, imf, count = got
+            assert not residue.values.flags.writeable and not imf.values.flags.writeable
+            assert residue.times is data.times and imf.times is data.times
             assert residue.values.tobytes() == want[0].tobytes()
             assert imf.values.tobytes() == want[1].tobytes()
             assert count == want[2]

@@ -305,6 +305,67 @@ def test_short_intervals_near_the_float64_limit_stay_finite(flat_ends):
     assert got[np.searchsorted(x, t)].tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("scale, grid", [
+    pytest.param(1e308, [-1.0, -0.5, 0.0, 1.0], id="span-past-the-limit"),
+    pytest.param(2.0**-1074, [-1.0, 0.0, 1.0], id="smallest-subnormals"),
+])
+def test_hat_at_extreme_time_scales(scale, grid):
+    # at 1e308 the span t[-1] - t[0] overflows, so the time unit comes from
+    # half of it; the smallest subnormals would halve to zero. Either way the
+    # curve is the one through [-1, 0, 1], and RuntimeWarnings are errors
+    # under the project's filters
+    sp = build_spline([-scale, 0.0, scale], [0.0, 1.0, 0.0])
+    want = build_spline([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]).evaluate_on_grid(grid)
+    assert sp.evaluate_on_grid(np.array(grid) * scale).tobytes() == want.tobytes()
+
+
+def _knot_index_cases():
+    """Splines of 2 to 200 knots, natural and flat, on irregular grids that
+    hold some knots as grid points, some twice, and span the knots exactly."""
+    rng = np.random.default_rng(47)
+    for knots in [2, 3, 5, 17, 60, 200]:
+        for flat_ends in (False, True):
+            t = np.cumsum(rng.uniform(0.05, 3.0, knots))
+            y = rng.normal(scale=10.0 ** rng.uniform(-3.0, 3.0), size=knots)
+            sp = build_spline(t, y, flat_ends)
+            on = t[rng.random(knots) < 0.5]
+            twice = on[rng.random(len(on)) < 0.5]
+            x = np.sort(np.concatenate((_inside(rng, t, 3 * knots), on, twice, [t[0], t[-1]])))
+            yield sp, x
+
+
+def test_knot_index_gives_the_searched_bits():
+    for sp, x in _knot_index_cases():
+        k = np.searchsorted(x, sp.t)
+        assert sp.evaluate_on_grid(x, knot_index=k).tobytes() == sp.evaluate_on_grid(x).tobytes()
+        assert sp.evaluate_on_grid(x, knot_index=list(k)).tobytes() == sp.evaluate_on_grid(x).tobytes()
+
+
+@pytest.mark.parametrize("knots", [
+    pytest.param(lambda k: k + 1, id="one-too-high"),
+    pytest.param(lambda k: k - 1, id="one-too-low"),
+    pytest.param(lambda k: np.concatenate((k[:1] + 1, k[1:])), id="first-off-by-one"),
+    pytest.param(lambda k: np.concatenate((k[:-1], k[-1:] - 1)), id="last-off-by-one"),
+    pytest.param(lambda k: k + (np.arange(len(k)) == 2), id="middle-one-too-high"),
+    pytest.param(lambda k: k - (np.arange(len(k)) == 2), id="middle-one-too-low"),
+    pytest.param(lambda k: k[::-1], id="decreasing"),
+    pytest.param(lambda k: np.concatenate((k[:-1], k[-1:] + 1)), id="past-the-grid"),
+    pytest.param(lambda k: np.concatenate((k[:1] - 1, k[1:])), id="negative"),
+    pytest.param(lambda k: k[:-1], id="too-short"),
+    pytest.param(lambda k: np.concatenate((k, k[-1:])), id="too-long"),
+    pytest.param(lambda k: k.astype(np.float64), id="not-integer"),
+])
+def test_wrong_knot_index_raises(knots):
+    # the knots sit on grid points, between them and at both grid ends, so
+    # moving any position by one breaks searchsorted's definition
+    sp = build_spline([0.0, 1.0, 2.5, 4.0, 7.0], [0.0, 2.0, -1.0, 3.0, 1.0])
+    x = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 4.0, 6.0, 7.0])
+    k = np.searchsorted(x, sp.t)
+    assert k.tolist() == [0, 2, 4, 5, 8]
+    with pytest.raises(ValueError, match="knot_index"):
+        sp.evaluate_on_grid(x, knot_index=knots(k))
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         build_spline([0.0], [1.0])
