@@ -15,6 +15,7 @@ from .csvio import read_csv, write_csv
 from .extension import EXTENSION_KINDS
 from .filtering import FilterCriteria, filter_series
 from .imd import RefinementConfig, decompose
+from .series import find_extrema
 from .signals import SYNTH_KINDS, synth
 from .svgplot import render_svg
 
@@ -146,11 +147,16 @@ def run_decompose(args: argparse.Namespace) -> None:
     lines = []
     chart = {"input": data}
     for k, mode in enumerate(result.modes, start=1):
-        write_csv(mode.imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
+        # the component is derived on each access; read it once, and keep
+        # it past this mode only for the chart
+        imf = mode.imf
+        write_csv(imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
         write_csv(mode.residue, os.path.join(args.output_dir, f"residue_{k}.csv"))
-        lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
+        value_range = (float(imf.values.min()), float(imf.values.max()))
+        lines.append(format_mode_line(k, len(find_extrema(imf)), value_range,
                                       mode.iterations, mode.final_delta, mode.delta_time))
-        chart[f"imf {k}"] = mode.imf
+        if args.plot:
+            chart[f"imf {k}"] = imf
     write_csv(result.final_residue, os.path.join(args.output_dir, "final_residue.csv"))
     chart["residue"] = result.final_residue
 
@@ -173,15 +179,18 @@ def run_filter(args: argparse.Namespace) -> None:
     os.makedirs(args.output_dir, exist_ok=True)
     result = filter_series(data, criteria, cfg)
 
+    # derived, and raises FloatingPointError if it overflows: read it once,
+    # before any file is written
+    blocked = result.blocked
     write_csv(result.filtered, os.path.join(args.output_dir, "filtered.csv"))
-    write_csv(result.blocked, os.path.join(args.output_dir, "blocked.csv"))
+    write_csv(blocked, os.path.join(args.output_dir, "blocked.csv"))
 
     for p, step in enumerate(result.diagnostics, start=1):
         print(f"Pass {p}: marked {step.marked} extrema, max change {step.max_change:.6f}")
     if not result.diagnostics:
         print("Pass 0: nothing marked, input passed unchanged")
     if args.plot:
-        render_svg({"input": data, "filtered": result.filtered, "blocked": result.blocked},
+        render_svg({"input": data, "filtered": result.filtered, "blocked": blocked},
                    os.path.join(args.output_dir, "filter.svg"), title=f"filter of {source}")
 
 

@@ -82,12 +82,22 @@ class FilterPass:
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Kept and removed parts of the input; they sum to it pointwise.
-    ``diagnostics`` holds one entry per pass that bridged marked cycles."""
+    """The input and its kept part. The removed part ``blocked`` is not
+    stored but derived, as ``data - filtered``, so the two parts sum to the
+    input pointwise. ``diagnostics`` holds one entry per pass that bridged
+    marked cycles."""
 
+    data: TimeSeries
     filtered: TimeSeries
-    blocked: TimeSeries
     diagnostics: tuple[FilterPass, ...]
+
+    @property
+    def blocked(self) -> TimeSeries:
+        """The removed part, ``data - filtered``: one subtraction on each
+        access. Raises FloatingPointError when it overflows float64."""
+        with np.errstate(over="ignore"):  # reported by the check below
+            values = _overflow_checked(self.data.values - self.filtered.values)
+        return self.data._with_fresh_values(values)
 
     @property
     def passes(self) -> int:
@@ -180,15 +190,15 @@ def filter_series(
         mode = extract_mode(filtered, cfg)
         if mode is None:
             break
-        lists = mark_extrema(mode.imf, criteria)
+        imf = mode.imf
+        lists = mark_extrema(imf, criteria)
         if not lists:
             break
-        passed = build_passed_function(mode.imf, lists)
+        passed = build_passed_function(imf, lists)
         rebuilt = data.with_values(passed.values + mode.residue.values)
         change = float(np.max(np.abs(rebuilt.values - filtered.values)))
         diags.append(FilterPass(marked=sum(len(l.extrema) for l in lists), max_change=change))
         filtered = rebuilt
         if change < tol:
             break
-    blocked = data.with_values(data.values - filtered.values)
-    return FilterResult(filtered, blocked, tuple(diags))
+    return FilterResult(data, filtered, tuple(diags))

@@ -72,21 +72,30 @@ class RefinementConfig:
 
 @dataclass(frozen=True)
 class ModeComponent:
-    """One extraction level: the component, its residue, and convergence
+    """One extraction level: its input, its residue, and convergence
     diagnostics.
 
-    ``imf.values + residue.values`` equals the level's input pointwise.
+    ``level_input`` is the series the level was extracted from: the data,
+    or the previous level's residue, held by reference. The component
+    ``imf`` is not stored but derived, as ``level_input - residue``.
     ``iterations`` counts the kept refinement passes. ``delta_history``
     records the max residue change of every pass that ran, including any
     discarded final pass; ``delta_time`` is where the last kept pass changed
     the residue most.
     """
 
-    imf: TimeSeries
+    level_input: TimeSeries
     residue: TimeSeries
     iterations: int
     delta_time: float
     delta_history: tuple[float, ...]
+
+    @property
+    def imf(self) -> TimeSeries:
+        """The component, ``level_input - residue``: one subtraction on each
+        access, the same one refinement checked to be finite, so read it
+        once and keep it where it is used more than once."""
+        return self.level_input._with_fresh_values(self.level_input.values - self.residue.values)
 
     @property
     def final_delta(self) -> float:
@@ -101,7 +110,8 @@ class ModeComponent:
     @property
     def value_range(self) -> tuple[float, float]:
         """The component's smallest and largest value."""
-        return float(self.imf.values.min()), float(self.imf.values.max())
+        values = self.imf.values
+        return float(values.min()), float(values.max())
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,7 @@ def extract_mode(
         return None
 
     return ModeComponent(
-        imf=imf,
+        level_input=data,
         residue=residue,
         iterations=kept_iter,
         delta_time=kept_delta_time,

@@ -94,18 +94,7 @@ class CubicSpline:
                 f"grid [{times[0]}, {times[-1]}] outside knot span "
                 f"[{self.t[0]}, {self.t[-1]}]"
             )
-        t, y, m = self.t, self.y, self._m
-        # the moment form on interval i, with a = 1 - b,
-        #   a y[i] + b y[i + 1] + ((a^3 - a) m[i] + (b^3 - b) m[i + 1]) hu^2 / 6
-        # in powers of b, with hu the interval length in the moments' time
-        # unit. Each moment is scaled by hu^2 / 6 before the two are added:
-        # scaled, they are of the size of the values, while on an interval
-        # shorter than the time unit 2 m[i] + m[i + 1] can overflow
-        h = t[1:] - t[:-1]
-        hh = (h / self._unit) ** 2
-        lo = m[:-1] * hh / 6.0
-        hi = m[1:] * hh / 6.0
-        c0, c1, c2, c3 = y[:-1], (y[1:] - y[:-1]) - (2.0 * lo + hi), 3.0 * lo, hi - lo
+        t, y, m, unit = self.t, self.y, self._m, self._unit
         # points starts[i] .. starts[i + 1] - 1 lie in interval i; the points
         # on the last knot, from starts[-1] on, join the last interval and
         # are set to y[-1] at the end
@@ -115,7 +104,24 @@ class CubicSpline:
             starts = _checked_knot_index(times, t, knot_index)
         counts = starts[1:] - starts[:-1]
         counts[-1] += len(times) - starts[-1]
-        which = np.repeat(np.arange(len(h)), counts)
+        which = np.repeat(np.arange(len(t) - 1), counts)
+        if float(t[-1]) - float(t[0]) == math.inf:
+            # past the float64 limit an interval length, or a point's offset
+            # into its interval, can overflow. Halving the knots, the grid
+            # and the unit keeps every ratio below, and is exact for every
+            # time but a subnormal one
+            t, times, unit = t * 0.5, times * 0.5, unit * 0.5
+        # the moment form on interval i, with a = 1 - b,
+        #   a y[i] + b y[i + 1] + ((a^3 - a) m[i] + (b^3 - b) m[i + 1]) hu^2 / 6
+        # in powers of b, with hu the interval length in the moments' time
+        # unit. Each moment is scaled by hu^2 / 6 before the two are added:
+        # scaled, they are of the size of the values, while on an interval
+        # shorter than the time unit 2 m[i] + m[i + 1] can overflow
+        h = t[1:] - t[:-1]
+        hh = (h / unit) ** 2
+        lo = m[:-1] * hh / 6.0
+        hi = m[1:] * hh / 6.0
+        c0, c1, c2, c3 = y[:-1], (y[1:] - y[:-1]) - (2.0 * lo + hi), 3.0 * lo, hi - lo
 
         # Horner's rule in place; each n-long buffer is dropped once used
         b = t.take(which)

@@ -6,12 +6,15 @@ t = 5 are frozen below.  End-to-end behaviour is pinned on the two-cosine
 signal, where a [0, 20) jump-time block must strip the fast ripple.
 """
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from fastimd import (
     FilterCriteria,
+    FilterResult,
     TimeSeries,
     build_passed_function,
     build_spline,
@@ -295,6 +298,26 @@ def test_filter_splits_exactly():
     for d in res.diagnostics:
         assert d.marked >= 1
         assert d.max_change >= 0.0
+
+
+def test_blocked_part_is_derived_from_the_input():
+    s = random_walk(2, span=999)
+    res = filter_series(s, FilterCriteria(jump_time_blocks=((0.0, 20.0),)))
+    assert res.passes >= 1
+    assert res.data is s
+    blocked = res.blocked
+    assert blocked.values.tobytes() == (s.values - res.filtered.values).tobytes()
+    assert blocked.times is s.times
+    assert not blocked.values.flags.writeable
+    assert "blocked" not in {f.name for f in dataclasses.fields(FilterResult)}
+
+
+def test_overflowing_blocked_part_raises():
+    t = np.arange(3.0)
+    big = TimeSeries(t, np.full(3, 1.5e308))
+    res = FilterResult(big, big.with_values(-big.values), ())
+    with pytest.raises(FloatingPointError):
+        res.blocked
 
 
 def test_filter_lowpass_strips_ripple():

@@ -6,6 +6,8 @@ point: its extremum polyline alternates perfectly, every median collapses to
 the axis, and one refinement pass must return a zero residue.
 """
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from fastimd import (
     FilterCriteria,
+    ModeComponent,
     RefinementConfig,
     TimeSeries,
     build_spline,
@@ -297,6 +300,38 @@ def test_delta_history_shrinks_before_stop():
     kept = mode.delta_history[: mode.iterations]
     for a, b in zip(kept, kept[1:]):
         assert b < a
+
+
+def test_component_is_derived_from_the_level_input():
+    data = random_walk(5, span=1999)
+    modes = decompose(data).modes
+    assert len(modes) > 2
+    assert modes[0].level_input is data
+    for prev, mode in zip(modes, modes[1:]):
+        assert mode.level_input is prev.residue
+    for mode in modes:
+        imf = mode.imf
+        want = mode.level_input.values - mode.residue.values
+        assert imf.values.tobytes() == want.tobytes()
+        assert imf.times is data.times
+        assert not imf.values.flags.writeable
+    assert "imf" not in {f.name for f in dataclasses.fields(ModeComponent)}
+
+
+def test_result_retains_one_array_per_mode():
+    # each mode keeps its residue, and the data or the previous residue by
+    # reference; the component is not stored. One more array's worth of
+    # bytes covers the small objects around them
+    data = random_walk(1, span=19999)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = decompose(data)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.modes) > 5
+    assert retained <= (len(result.modes) + 1) * 8 * len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,30 @@ def test_hat_at_extreme_time_scales(scale, grid):
     assert sp.evaluate_on_grid(np.array(grid) * scale).tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_line_whose_interval_passes_the_float64_limit():
+    # the one interval, 3.4e308 long, overflows when formed whole
+    sp = build_spline([-1.7e308, 1.7e308], [0.0, 1.0])
+    got = sp.evaluate_on_grid([-1.7e308, 0.0, 1.7e308])
+    assert got.tobytes() == np.array([0.0, 0.5, 1.0]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flat_ends", [False, True], ids=["natural", "flat"])
+def test_intervals_past_the_float64_limit_match_the_scaled_spline(flat_ends):
+    # the first interval, 1.9e308 long, overflows when formed whole. Scaling
+    # times by 2^-1000 is exact here, and the scaled spline never comes near
+    # the limit, so the two must agree bit for bit
+    t = np.array([-1.7e308, 0.2e308, 0.6e308, 0.9e308, 1.7e308])
+    y = np.array([2.0, -1.0, 0.5, 3.0, -2.0])
+    x = np.linspace(-1.0, 1.0, 1001) * 1.7e308
+    got = build_spline(t, y, flat_ends).evaluate_on_grid(x)
+    small = 2.0**-1000
+    want = build_spline(t * small, y, flat_ends).evaluate_on_grid(x * small)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
 def _knot_index_cases():
     """Splines of 2 to 200 knots, natural and flat, on irregular grids that
     hold some knots as grid points, some twice, and span the knots exactly."""
