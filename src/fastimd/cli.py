@@ -15,7 +15,6 @@ from .csvio import read_csv, write_csv
 from .extension import EXTENSION_KINDS
 from .filtering import FilterCriteria, filter_series
 from .imd import RefinementConfig, decompose
-from .series import find_extrema
 from .signals import SYNTH_KINDS, synth
 from .svgplot import render_svg
 
@@ -147,13 +146,12 @@ def run_decompose(args: argparse.Namespace) -> None:
     lines = []
     chart = {"input": data}
     for k, mode in enumerate(result.modes, start=1):
-        # the component is derived on each access; read it once, and keep
-        # it past this mode only for the chart
+        # the component is derived on each access; keep it past this mode
+        # only for the chart
         imf = mode.imf
         write_csv(imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
         write_csv(mode.residue, os.path.join(args.output_dir, f"residue_{k}.csv"))
-        value_range = (float(imf.values.min()), float(imf.values.max()))
-        lines.append(format_mode_line(k, len(find_extrema(imf)), value_range,
+        lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
                                       mode.iterations, mode.final_delta, mode.delta_time))
         if args.plot:
             chart[f"imf {k}"] = imf

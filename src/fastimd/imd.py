@@ -93,9 +93,11 @@ class ModeComponent:
     @property
     def imf(self) -> TimeSeries:
         """The component, ``level_input - residue``: one subtraction on each
-        access, the same one refinement checked to be finite, so read it
-        once and keep it where it is used more than once."""
-        return self.level_input._with_fresh_values(self.level_input.values - self.residue.values)
+        access, so read it once and keep it where it is used more than once.
+        Raises FloatingPointError when it overflows float64."""
+        with np.errstate(over="ignore"):  # reported by the check below
+            values = _overflow_checked(self.level_input.values - self.residue.values)
+        return self.level_input._with_fresh_values(values)
 
     @property
     def final_delta(self) -> float:

@@ -318,6 +318,16 @@ def test_component_is_derived_from_the_level_input():
     assert "imf" not in {f.name for f in dataclasses.fields(ModeComponent)}
 
 
+def test_overflowing_component_raises():
+    # a hand-built level, or one whose residue was replaced: the derived
+    # component is checked like every other derived series
+    t = np.arange(3.0)
+    big = TimeSeries(t, np.full(3, 1.5e308))
+    mode = ModeComponent(big, big.with_values(-big.values), 1, 0.0, (0.0,))
+    with pytest.raises(FloatingPointError, match="overflowed float64"):
+        mode.imf
+
+
 def test_result_retains_one_array_per_mode():
     # each mode keeps its residue, and the data or the previous residue by
     # reference; the component is not stored. One more array's worth of

@@ -6,10 +6,13 @@ session: hypothesis's report hook meets a DeprecationWarning, which the mark
 makes an error. Property tests rely on the ``pyproject.toml`` filters instead.
 
 The package's public names are pinned here, so a change that grows or
-shrinks the surface has to edit the pin on purpose.
+shrinks the surface has to edit the pin on purpose. The benchmark's output
+check must fail a decomposition that returns a wrong component, rather than
+only one that raises.
 """
 
 import ast
+import dataclasses
 import os
 
 import fastimd
@@ -129,3 +132,26 @@ def test_unmarked(x): pass
 def test_the_public_surface_is_pinned():
     assert sorted(fastimd.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(fastimd, name)] == []
+
+
+def test_benchmark_check_fails_a_wrong_component(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import run
+
+    wl, cases, _ = run.setup("decompose_walk", 1, str(tmp_path), n=2000)
+    real = fastimd.decompose
+
+    def shifted(data, *args, **kwargs):
+        # moving the first residue by one moves the derived first component
+        # by minus one, so the outputs no longer sum back to the input
+        result = real(data, *args, **kwargs)
+        mode = result.modes[0]
+        bad = dataclasses.replace(mode, residue=mode.residue.with_values(mode.residue.values + 1.0))
+        return dataclasses.replace(result, modes=(bad,) + result.modes[1:])
+
+    monkeypatch.setattr(fastimd, "decompose", shifted)
+    result = run.measure(wl, cases, 0.0)
+    assert result["attempted"] >= 1
+    assert len(result["failures"]) == result["attempted"]
+    assert all(f["error"].startswith("outputs sum back to the input")
+               for f in result["failures"])
