@@ -23,9 +23,12 @@ and odd are identical under both variants.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
+
+from .series import _OVERFLOW_MESSAGE
 
 __all__ = ["extend", "EXTENSION_KINDS", "EXTENSION_VARIANTS"]
 
@@ -35,6 +38,7 @@ EXTENSION_VARIANTS = ("strict", "consistent")
 _CYCLIC_RTOL = 1e-9
 
 
+@np.errstate(over="ignore")
 def extend(
     t: np.ndarray,
     v: np.ndarray,
@@ -48,8 +52,10 @@ def extend(
 
     Odd extension needs ``start_anchor`` and ``end_anchor`` as the boundary
     (time, value) pairs to reflect through. Returns the extended pair with
-    the original points unchanged in the middle; raises if the synthetic
-    times would not remain strictly increasing.
+    the original points unchanged in the middle; raises ValueError if the
+    synthetic times would not remain strictly increasing, and
+    FloatingPointError if a synthetic time or value is not finite, which
+    happens when it overflows float64.
     """
     t = np.asarray(t, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -98,6 +104,10 @@ def extend(
             tail_t = [t[-1] + (t[1] - t[0]), t[-1] + (t[2] - t[0])]
         tail_v = [v[1], v[2]]
 
+    # points reflected past the data ends can overflow near the float64
+    # limit, which is reported here instead of by numpy warnings
+    if not all(map(math.isfinite, (*head_t, *tail_t, *head_v, *tail_v))):
+        raise FloatingPointError(_OVERFLOW_MESSAGE)
     out_t = np.concatenate([head_t, t, tail_t])
     out_v = np.concatenate([head_v, v, tail_v])
     if not (out_t[1:] > out_t[:-1]).all():

@@ -165,7 +165,8 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
             lo = np.searchsorted(imf.times, knot_t[0], side="left")
             hi = np.searchsorted(imf.times, knot_t[-1], side="right")
             out[lo:hi] = _overflow_checked(bridge.evaluate_on_grid(imf.times[lo:hi]))
-    return imf.with_values(out)
+    # out is a fresh copy of finite values, and every bridge in it is checked
+    return imf._with_fresh_values(out)
 
 
 def filter_series(
@@ -181,6 +182,9 @@ def filter_series(
     bridged component plus residue. Stops when a pass marks nothing, when
     the rebuilt signal settles (no sample moves by 1e-3 of the input's
     spread or more), or at ``max_passes``.
+
+    Raises FloatingPointError when a bridge or a rebuilt signal overflows
+    float64.
     """
     cfg = replace(cfg, initialization="derivative")
     tol = 1e-3 * data.spread
@@ -195,7 +199,9 @@ def filter_series(
         if not lists:
             break
         passed = build_passed_function(imf, lists)
-        rebuilt = data.with_values(passed.values + mode.residue.values)
+        with np.errstate(over="ignore"):  # reported by the check below
+            rebuilt = data._with_fresh_values(
+                _overflow_checked(passed.values + mode.residue.values))
         change = float(np.max(np.abs(rebuilt.values - filtered.values)))
         diags.append(FilterPass(marked=sum(len(l.extrema) for l in lists), max_change=change))
         filtered = rebuilt

@@ -157,6 +157,10 @@ def differentiate(s: TimeSeries) -> TimeSeries:
     return s._with_fresh_values(_overflow_checked(d))
 
 
+_OVERFLOW_MESSAGE = ("values overflowed float64; "
+                     "rescale the input, for example divide it by its spread")
+
+
 def _overflow_checked(values: np.ndarray) -> np.ndarray:
     """The values unchanged; FloatingPointError if any is not finite.
 
@@ -164,10 +168,7 @@ def _overflow_checked(values: np.ndarray) -> np.ndarray:
     means the arithmetic overflowed float64.
     """
     if not np.isfinite(values).all():
-        raise FloatingPointError(
-            "values overflowed float64; "
-            "rescale the input, for example divide it by its spread"
-        )
+        raise FloatingPointError(_OVERFLOW_MESSAGE)
     return values
 
 

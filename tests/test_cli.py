@@ -7,6 +7,8 @@ line is pinned character by character; everything else goes through
 behaves the same.
 """
 
+import bz2
+import gzip
 import math
 import os
 import re
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fastimd import TimeSeries, random_walk, read_csv, render_svg, two_cosine, write_csv
+from fastimd import (FilterCriteria, RefinementConfig, TimeSeries, decompose, filter_series,
+                     random_walk, read_csv, render_svg, two_cosine, write_csv)
 from fastimd import csvio, svgplot
 from fastimd.cli import format_mode_line, main
 from fastimd.csvio import _CHUNK
@@ -103,8 +106,7 @@ def test_csv_reads_ascii_literals(tmp_path):
     want = [[0.0, np.nan], [1.0, np.inf], [2.0, 1e3], [3.0, 0.5], [4.0, 1.0], [5.0, -np.inf]]
     with open(p, encoding="utf-8-sig") as fh:
         npt.assert_array_equal(csvio._scan_table(str(p), fh), want)
-    with open(p, encoding="utf-8-sig") as fh:
-        npt.assert_array_equal(csvio._load_table(fh), want)
+    npt.assert_array_equal(csvio._load_table(str(p)), want)
     with pytest.raises(ValueError, match="must be finite"):
         read_csv(str(p))
 
@@ -213,12 +215,45 @@ def test_csv_array_parse_takes_well_formed_files(tmp_path):
     # a header-only file goes to the scan, which raises its own error
     path = tmp_path / "plain.csv"
     path.write_bytes(b"\xef\xbb\xbftime,value\r\n\r\n0,1.5\r\n1, -2\r\n\r\n2,1e-3\r\n")
-    with open(path, encoding="utf-8-sig") as fh:
-        table = csvio._load_table(fh)
+    table = csvio._load_table(str(path))
     npt.assert_array_equal(table, [[0.0, 1.5], [1.0, -2.0], [2.0, 1e-3]])
     path.write_text("time,value\n\n")
-    with open(path, encoding="utf-8-sig") as fh:
-        assert csvio._load_table(fh) is None
+    assert csvio._load_table(str(path)) is None
+
+
+def test_csv_names_numpy_decompresses_go_to_the_scan():
+    # numpy's path reader decompresses these endings; the scan reads the
+    # bytes as they are, so a compressed file is "not UTF-8"
+    openers = {ext for ext in np.lib._datasource._file_openers.keys() if ext}
+    assert openers <= set(csvio._DECOMPRESSED)
+
+
+@pytest.mark.parametrize("suffix, compress", [(".csv.gz", gzip.compress),
+                                              (".csv.bz2", bz2.compress)], ids=["gz", "bz2"])
+def test_exit_2_on_a_compressed_file(tmp_path, capsys, suffix, compress):
+    text = "".join(f"{t},{v!r}\n" for t, v in enumerate(two_cosine(span=2000).values.tolist()))
+    path = tmp_path / ("in" + suffix)
+    path.write_bytes(compress(text.encode("ascii")))
+    assert main(["decompose", "--input", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"fastimd: error: {path}: not UTF-8")
+    # the same bytes uncompressed under such a name read as plain text
+    path.write_text(text)
+    assert len(read_csv(str(path))) == 2001
+
+
+def test_csv_path_like_a_url_is_a_local_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    try:
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+    except OSError:
+        pytest.skip("the OS refuses a ':' in a directory name")
+    (tmp_path / "http:" / "host" / "in.csv").write_text("0,1\n1,2\n2,3\n")
+    with mock.patch("urllib.request.urlopen", side_effect=AssertionError("a download")):
+        npt.assert_array_equal(read_csv("http://host/in.csv").values, [1.0, 2.0, 3.0])
+        assert main(["decompose", "--input", "http://localhost/in.csv"]) == 2
+    assert "No such file" in capsys.readouterr().err
 
 
 def _reference_csv_text(times, values) -> str:
@@ -230,14 +265,61 @@ def _reference_csv_text(times, values) -> str:
 @pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
 def test_csv_bytes_match_per_row_reference(tmp_path, n):
     rng = np.random.default_rng(n)
-    times = -50.0 + np.cumsum(rng.uniform(1e-3, 2.0, n))  # irregular grid
-    values = rng.normal(scale=1e3, size=n)
-    specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
-    values[:min(n, len(specials))] = specials[:n]
-    values[-1] = -0.0
-    path = tmp_path / "pin.csv"
-    write_csv(TimeSeries(times, values), str(path))
-    assert path.read_bytes() == _reference_csv_text(times, values).encode("utf-8")
+    irregular = -50.0 + np.cumsum(rng.uniform(1e-3, 2.0, n))
+    for times in (irregular, np.arange(n, dtype=np.float64) - n // 2):
+        grid = TimeSeries(times, np.zeros(n))
+        series = []
+        for _ in range(3):
+            values = rng.normal(scale=1e3, size=n)
+            specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+            values[:min(n, len(specials))] = specials[:n]
+            values[-1] = -0.0
+            series.append(grid.with_values(values))
+        path = tmp_path / "pin.csv"
+        write_csv(series[0], str(path))
+        assert path.read_bytes() == _reference_csv_text(times, series[0].values).encode()
+        # several files on one time column: the first formats the times,
+        # block by block, and the others reuse its text
+        with csvio._one_time_column(grid.times):
+            for k, s in enumerate(series):
+                with mock.patch.object(csvio, "_g17_text", wraps=csvio._g17_text) as g17:
+                    write_csv(s, str(path))
+                time_blocks = sum(call.args[1] == b"," for call in g17.call_args_list)
+                assert time_blocks == (-(-n // _CHUNK) if k == 0 else 0)
+                assert path.read_bytes() == _reference_csv_text(times, s.values).encode()
+
+
+@pytest.mark.parametrize("source", ["synth", "irregular"])
+def test_cli_csv_files_match_per_row_reference(tmp_path, capsys, source):
+    # the files of both subcommands hold the library's results, each with
+    # the per-row text of its own series on the one time column
+    if source == "synth":
+        data = two_cosine()
+        argv = ["--synth", "two_cosine"]
+    else:
+        rng = np.random.default_rng(5)
+        data = TimeSeries(np.cumsum(rng.uniform(0.05, 1.5, 1500)),
+                          rng.normal(size=1500).cumsum())
+        src = tmp_path / "in.csv"
+        src.write_text(_reference_csv_text(data.times, data.values))
+        argv = ["--input", str(src)]
+    cfg = RefinementConfig(max_iterations=12, extension="even", initialization="derivative")
+    out = tmp_path / "out"
+    assert main(["decompose", *argv, "--output-dir", str(out / "d")]) == 0
+    result = decompose(data, cfg, max_modes=16)
+    want = {"final_residue.csv": result.final_residue}
+    for k, mode in enumerate(result.modes, start=1):
+        want[f"imf_{k}.csv"] = mode.imf
+        want[f"residue_{k}.csv"] = mode.residue
+    assert sorted(p.name for p in (out / "d").iterdir()) == sorted(want)
+    assert main(["filter", *argv, "--block-jump", "0:20", "--output-dir", str(out / "f")]) == 0
+    filtered = filter_series(data, FilterCriteria(jump_time_blocks=((0.0, 20.0),)), cfg)
+    assert filtered.passes > 0
+    capsys.readouterr()
+    for name, series in [*want.items(), ("filtered.csv", filtered.filtered),
+                         ("blocked.csv", filtered.blocked)]:
+        path = out / ("f" if name in ("filtered.csv", "blocked.csv") else "d") / name
+        assert path.read_bytes() == _reference_csv_text(data.times, series.values).encode()
 
 
 def _g17_ties(j):
@@ -655,6 +737,18 @@ def test_exit_3_on_overflow(tmp_path, capsys, command, source):
     argv += ["--output-dir", str(tmp_path / "out")]
     # the error line is the only signal: any numpy warning fails the test
     assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fastimd: error: values overflowed float64")
+
+
+@pytest.mark.filterwarnings("error")
+def test_exit_3_on_times_near_the_float64_limit(tmp_path, capsys):
+    # the boundary extension reflects times past the float64 limit
+    u = np.linspace(-1.0, 1.0, 41)
+    src = str(tmp_path / "wide.csv")
+    write_csv(TimeSeries(u * 1.7e308, np.cos(2.0 * np.pi * u)), src)
+    assert main(["decompose", "--input", src, "--output-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("fastimd: error: values overflowed float64")

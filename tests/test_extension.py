@@ -200,3 +200,17 @@ def test_result_is_sorted_and_superset():
             assert np.all(np.diff(et) > 0.0)
             npt.assert_array_equal(et[2:-2], t)
             npt.assert_array_equal(ev[2:-2], v)
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "cyclic"])
+def test_overflowing_synthetic_points_raise(kind):
+    # points reflected past ends near the float64 limit overflow; that is
+    # reported as the library's overflow error, with no numpy warning
+    t = np.array([-1.7e308, -1e308, 0.0, 1e308, 1.7e308])
+    v = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+    with pytest.raises(FloatingPointError, match="values overflowed float64"):
+        extend(t, v, kind, start_anchor=(t[0], 0.0), end_anchor=(t[-1], 0.0))
+    # values too: the odd kind reflects them through the anchors
+    t = np.arange(5.0)
+    with pytest.raises(FloatingPointError, match="values overflowed float64"):
+        extend(t, v * 1.7e308, "odd", start_anchor=(-1.0, 1.7e308), end_anchor=(5.0, 0.0))

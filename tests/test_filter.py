@@ -26,6 +26,7 @@ from fastimd import (
     sinusoid,
     two_cosine,
 )
+from fastimd import filtering
 from fastimd.imd import _chord_midpoints
 
 
@@ -318,6 +319,18 @@ def test_overflowing_blocked_part_raises():
     res = FilterResult(big, big.with_values(-big.values), ())
     with pytest.raises(FloatingPointError):
         res.blocked
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_rebuilt_signal_raises(monkeypatch):
+    # a bridged component at the float64 maximum plus a positive residue
+    # overflows; the rebuilt signal reports it as every derived series does
+    s = two_cosine()
+    s = s.with_values(s.values * 1e305)
+    monkeypatch.setattr(filtering, "build_passed_function",
+                        lambda imf, lists: imf.with_values(np.full(len(imf), np.finfo(float).max)))
+    with pytest.raises(FloatingPointError, match="values overflowed float64"):
+        filter_series(s, FilterCriteria(jump_time_blocks=((0.0, 20.0),)))
 
 
 def test_filter_lowpass_strips_ripple():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fastimd import TimeSeries, render_svg, two_cosine
 from fastimd import svgplot
-from fastimd.csvio import _CHUNK
 
 
 def test_svg_structure(tmp_path):
@@ -149,7 +148,8 @@ def _reference_svg_points(series_set) -> list:
     return charts
 
 
-@pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+# lengths either side of a power of two, and a few times past it
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 12293])
 def test_svg_points_match_per_point_reference(tmp_path, n):
     rng = np.random.default_rng(n)
     series_set = {}
@@ -217,7 +217,7 @@ def test_point_text_matches_percent_format():
     ])
     x, y = values, rng.permutation(values)
     assert svgplot._points_text(x, y) == _reference_points_text(x, y)
-    for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+    for n in (1, 2, 4095, 4096, 4097):
         assert svgplot._points_text(x[:n], y[:n]) == _reference_points_text(x[:n], y[:n])
 
 
