@@ -11,7 +11,7 @@ import os
 import sys
 from typing import Sequence
 
-from .csvio import _one_time_column, read_csv, write_csv
+from .csvio import read_csv, write_csv
 from .extension import EXTENSION_KINDS
 from .filtering import FilterCriteria, filter_series
 from .imd import RefinementConfig, decompose
@@ -145,19 +145,17 @@ def run_decompose(args: argparse.Namespace) -> None:
 
     lines = []
     chart = {"input": data}
-    # every file is on the input's grid: its time column is formatted once
-    with _one_time_column(data.times):
-        for k, mode in enumerate(result.modes, start=1):
-            # the component is derived on each access; keep it past this
-            # mode only for the chart
-            imf = mode.imf
-            write_csv(imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
-            write_csv(mode.residue, os.path.join(args.output_dir, f"residue_{k}.csv"))
-            lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
-                                          mode.iterations, mode.final_delta, mode.delta_time))
-            if args.plot:
-                chart[f"imf {k}"] = imf
-        write_csv(result.final_residue, os.path.join(args.output_dir, "final_residue.csv"))
+    for k, mode in enumerate(result.modes, start=1):
+        # the component is derived on each access; keep it past this mode
+        # only for the chart
+        imf = mode.imf
+        write_csv(imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
+        write_csv(mode.residue, os.path.join(args.output_dir, f"residue_{k}.csv"))
+        lines.append(format_mode_line(k, mode.extrema_count, mode.value_range,
+                                      mode.iterations, mode.final_delta, mode.delta_time))
+        if args.plot:
+            chart[f"imf {k}"] = imf
+    write_csv(result.final_residue, os.path.join(args.output_dir, "final_residue.csv"))
     chart["residue"] = result.final_residue
 
     for line in lines:
@@ -182,9 +180,8 @@ def run_filter(args: argparse.Namespace) -> None:
     # derived, and raises FloatingPointError if it overflows: read it once,
     # before any file is written
     blocked = result.blocked
-    with _one_time_column(data.times):
-        write_csv(result.filtered, os.path.join(args.output_dir, "filtered.csv"))
-        write_csv(blocked, os.path.join(args.output_dir, "blocked.csv"))
+    write_csv(result.filtered, os.path.join(args.output_dir, "filtered.csv"))
+    write_csv(blocked, os.path.join(args.output_dir, "blocked.csv"))
 
     for p, step in enumerate(result.diagnostics, start=1):
         print(f"Pass {p}: marked {step.marked} extrema, max change {step.max_change:.6f}")

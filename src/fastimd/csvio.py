@@ -6,24 +6,24 @@ is skipped). Input may carry an optional header line and either two columns
 0, 1, 2, ... Output always writes a ``time,value`` header and 17 significant
 digits so a written series reads back bit-faithfully.
 
-``read_csv`` parses a well-formed body in one ``np.loadtxt`` call given the
-file's path, so that numpy reads it in blocks with its C reader (given
-lines, it takes them one at a time). A probe of the file's first lines skips
-a header on line 1 and the blank lines before the first row. numpy opens a
-name ending ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` through a decompressor
-and a URL as a download; such names skip the array call, so a compressed
-file is "not UTF-8" and no file is fetched. Any file the call rejects is
-read again by a line scan, which decides what is valid and names the line
-of the first fault; both give the same bits for every file they both
-accept. Numbers are ASCII decimal literals (``nan`` and ``inf`` included):
-the scan rejects, as numpy does, the digit-group underscores and non-ASCII
-digits Python's ``float`` would read.
+``read_csv`` parses a well-formed body in one ``np.loadtxt`` call. It
+opens the file as text and skips a header on line 1 and the blank lines
+before the first row. A regular file is then parsed by numpy from its
+path, which numpy reads in blocks with its C reader. Given lines, numpy
+takes them one at a time; that is how it reads a pipe or a FIFO, which
+cannot be read twice. numpy opens a name ending ``.gz``, ``.bz2``, ``.xz``
+or ``.lzma`` through a decompressor and a URL as a download, so such names
+are given as lines too: a compressed file stays "not UTF-8" and no file is
+fetched. Any file the call rejects is read again by a line scan, which
+decides what is valid and names the line of the first fault; both give the
+same bits for every file they both accept. Numbers are ASCII decimal
+literals (``nan`` and ``inf`` included): the scan rejects, as numpy does,
+the digit-group underscores and non-ASCII digits Python's ``float`` would
+read.
 
 ``write_csv`` writes every value as ``"%.17g" %`` does, byte for byte, but
-from arrays, one block of ``_CHUNK`` rows at a time. Files written inside
-``_one_time_column(times)`` share the text of that grid's time column,
-formatted once. Each value's text comes from an integer fast path that
-proves its own rounding (Grisu's idea: Loitsch, PLDI 2010):
+from arrays, one block of ``_CHUNK`` rows at a time (Grisu's idea of an
+integer fast path that proves its own rounding: Loitsch, PLDI 2010):
 
 - Fast path. For |x| in [1e-290, 1e299), k = floor(log10 |x|) picks
   10**(16 - k) from a table of double-double pairs hi + lo. Dekker's exact
@@ -64,11 +64,10 @@ Written files get the mode ``open(path, "w")`` gives.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import math
 import os
+import stat
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -78,15 +77,17 @@ from .series import TimeSeries
 __all__ = ["read_csv", "write_csv"]
 
 
-def read_csv(path: str) -> TimeSeries:
+def read_csv(path: str | os.PathLike) -> TimeSeries:
     """Parse a series from ``path``; malformed rows name their line number.
     A file that is not UTF-8 text raises ValueError naming the file."""
-    try:
-        table = _load_table(path)
-    except ValueError:  # a row numpy cannot parse, or bytes that are not UTF-8
-        table = None
-    if table is None:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+    path = os.fsdecode(path)
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            table = _load_table(fh)
+        except ValueError:  # a row numpy cannot parse, or bytes that are not UTF-8
+            table = None
+        if table is None:
+            fh.seek(0)
             try:
                 table = _scan_table(path, fh)
             except UnicodeDecodeError:  # its position counts from a read chunk, not the file
@@ -102,32 +103,37 @@ def read_csv(path: str) -> TimeSeries:
 
 
 # numpy opens a path with these endings through a decompressor, and a path
-# with a scheme and a host ("http://...") as a download; both go to the scan
+# with a scheme and a host ("http://...") as a download
 _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _load_table(path: str) -> np.ndarray | None:
+def _load_table(fh: TextIO) -> np.ndarray | None:
     """The rows of a well-formed file in one array call, else None.
 
-    A probe reads the lines up to the first row: line 1 if it is a header,
-    and blank lines. numpy's block reader then parses the rest from the
-    path. numpy converts each field with the parser ``float`` uses, so every
-    value it reads has the bits the line scan would give; what it rejects
-    goes to the scan, which then rejects an underscore or a non-ASCII digit
-    too and skips a blank line of spaces.
+    ``fh`` is a file opened by name as text. Its lines up to the first row
+    are skipped: line 1 if it is a header, and blank lines. A regular file
+    under a name numpy neither decompresses nor downloads is then parsed
+    again from its name, by numpy's block reader; any other input (a pipe,
+    a FIFO) cannot be read twice, so numpy takes its remaining lines from
+    ``fh``. numpy converts each field with the parser ``float`` uses, so
+    every value it reads has the bits the line scan would give; what it
+    rejects goes to the scan, which then rejects an underscore or a
+    non-ASCII digit too and skips a blank line of spaces.
     """
-    if path.endswith(_DECOMPRESSED) or "://" in path:
-        return None
     skip = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            if line.strip() and (skip or not _is_header(line)):
-                break
-            skip += 1
-        else:  # an empty body makes numpy warn; the scan raises its own error for it
-            return None
-    table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
-                       encoding="utf-8-sig")
+    for line in fh:
+        if line.strip() and (skip or not _is_header(line)):
+            break
+        skip += 1
+    else:  # an empty body makes numpy warn; the scan raises its own error for it
+        return None
+    path = fh.name
+    if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            and not path.endswith(_DECOMPRESSED) and "://" not in path):
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                           encoding="utf-8-sig")
+    else:
+        table = np.loadtxt(itertools.chain([line], fh), delimiter=",", comments=None, ndmin=2)
     return table if table.shape[1] in (1, 2) else None
 
 
@@ -181,34 +187,8 @@ def _is_number(field: str) -> bool:
 
 
 def write_csv(series: TimeSeries, path: str) -> None:
-    """Write ``time,value`` rows atomically (temp file plus rename). Inside
-    ``_one_time_column(series.times)`` the time column's text is reused."""
-    shared = _TIME_COLUMN.get()
-    time_text = shared[1] if shared is not None and shared[0] is series.times else None
-    _write_atomic(path, itertools.chain(
-        [b"time,value\n"], _csv_rows(series.times, series.values, time_text)))
-
-
-# (times, its text tables formatted so far) inside _one_time_column, else None
-_TIME_COLUMN = contextvars.ContextVar("fastimd_time_column", default=None)
-
-
-@contextlib.contextmanager
-def _one_time_column(times: np.ndarray) -> Iterator[None]:
-    """Within the block, ``write_csv`` formats the text of ``times`` once,
-    as the first series on that very array is written, and reuses it for
-    the others.
-
-    The text is kept until the block ends, a byte per character and one for
-    the comma: 1.3 MB for the whole numbers 0 to 199,999, 3.9 MB for 200,000
-    irregular times, and never more than 45 bytes a time. Each series is
-    still written as it comes, so no caller has to hold them all.
-    """
-    token = _TIME_COLUMN.set((times, []))
-    try:
-        yield
-    finally:
-        _TIME_COLUMN.reset(token)
+    """Write ``time,value`` rows atomically (temp file plus rename)."""
+    _write_atomic(path, itertools.chain([b"time,value\n"], _csv_rows(series.times, series.values)))
 
 
 # Rows formatted per block. Formatting whole arrays at once holds every
@@ -216,18 +196,11 @@ def _one_time_column(times: np.ndarray) -> Iterator[None]:
 _CHUNK = 16384
 
 
-def _csv_rows(times: np.ndarray, values: np.ndarray,
-              time_text: list[np.ndarray] | None = None) -> Iterator[bytes]:
+def _csv_rows(times: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
     """Yield ``"%.17g,%.17g\\n" % (times[i], values[i])`` for every ``i``,
-    ``_CHUNK`` rows a piece. ``time_text`` holds the time column's text
-    tables of the blocks formatted so far; the rest are appended to it."""
-    if time_text is None:
-        time_text = []
-    for block, lo in enumerate(range(0, len(times), _CHUNK)):
-        if block == len(time_text):
-            text = _g17_text(times[lo:lo + _CHUNK], b",")
-            time_text.append(text[text.any(axis=1)])
-        yield _join_text(np.concatenate((time_text[block],
+    ``_CHUNK`` rows a piece."""
+    for lo in range(0, len(times), _CHUNK):
+        yield _join_text(np.concatenate((_g17_text(times[lo:lo + _CHUNK], b","),
                                          _g17_text(values[lo:lo + _CHUNK], b"\n"))))
 
 

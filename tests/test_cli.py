@@ -15,6 +15,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -106,7 +107,8 @@ def test_csv_reads_ascii_literals(tmp_path):
     want = [[0.0, np.nan], [1.0, np.inf], [2.0, 1e3], [3.0, 0.5], [4.0, 1.0], [5.0, -np.inf]]
     with open(p, encoding="utf-8-sig") as fh:
         npt.assert_array_equal(csvio._scan_table(str(p), fh), want)
-    npt.assert_array_equal(csvio._load_table(str(p)), want)
+    with open(p, encoding="utf-8-sig") as fh:
+        npt.assert_array_equal(csvio._load_table(fh), want)
     with pytest.raises(ValueError, match="must be finite"):
         read_csv(str(p))
 
@@ -215,15 +217,54 @@ def test_csv_array_parse_takes_well_formed_files(tmp_path):
     # a header-only file goes to the scan, which raises its own error
     path = tmp_path / "plain.csv"
     path.write_bytes(b"\xef\xbb\xbftime,value\r\n\r\n0,1.5\r\n1, -2\r\n\r\n2,1e-3\r\n")
-    table = csvio._load_table(str(path))
+    with open(path, encoding="utf-8-sig") as fh:
+        table = csvio._load_table(fh)
     npt.assert_array_equal(table, [[0.0, 1.5], [1.0, -2.0], [2.0, 1e-3]])
+    # a regular file is parsed by numpy's block reader, which takes its name
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        npt.assert_array_equal(read_csv(path).values, [1.5, -2.0, 1e-3])
+    assert loadtxt.call_args.args[0] == str(path)
     path.write_text("time,value\n\n")
-    assert csvio._load_table(str(path)) is None
+    with open(path, encoding="utf-8-sig") as fh:
+        assert csvio._load_table(fh) is None
 
 
-def test_csv_names_numpy_decompresses_go_to_the_scan():
-    # numpy's path reader decompresses these endings; the scan reads the
-    # bytes as they are, so a compressed file is "not UTF-8"
+def test_csv_reads_a_path_object(tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_text("time,value\n0,1.5\n1,2.5\n")
+    npt.assert_array_equal(read_csv(p).values, [1.5, 2.5])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("rows", [3, 5000])  # within one read buffer, and many
+def test_csv_reads_every_row_of_a_pipe(rows):
+    # as "--input <(gunzip -c in.csv.gz)" gives it: a pipe cannot be read
+    # twice, so numpy gets the lines of the one read
+    rng = np.random.default_rng(rows)
+    values = rng.normal(scale=1e3, size=rows)
+    text = "time,value\n\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(values.tolist()))
+    r, w = os.pipe()
+
+    def write():
+        with os.fdopen(w, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            series = read_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+    assert not isinstance(loadtxt.call_args.args[0], str)
+    npt.assert_array_equal(series.times, np.arange(rows))
+    assert series.values.tobytes() == values.tobytes()
+
+
+def test_csv_names_numpy_decompresses_are_read_as_lines():
+    # numpy's path reader decompresses these endings; given lines, numpy and
+    # the scan read the bytes as they are, so a compressed file is "not UTF-8"
     openers = {ext for ext in np.lib._datasource._file_openers.keys() if ext}
     assert openers <= set(csvio._DECOMPRESSED)
 
@@ -266,27 +307,15 @@ def _reference_csv_text(times, values) -> str:
 def test_csv_bytes_match_per_row_reference(tmp_path, n):
     rng = np.random.default_rng(n)
     irregular = -50.0 + np.cumsum(rng.uniform(1e-3, 2.0, n))
+    # the whole-number grid takes the writer's integer route
     for times in (irregular, np.arange(n, dtype=np.float64) - n // 2):
-        grid = TimeSeries(times, np.zeros(n))
-        series = []
-        for _ in range(3):
-            values = rng.normal(scale=1e3, size=n)
-            specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
-            values[:min(n, len(specials))] = specials[:n]
-            values[-1] = -0.0
-            series.append(grid.with_values(values))
+        values = rng.normal(scale=1e3, size=n)
+        specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+        values[:min(n, len(specials))] = specials[:n]
+        values[-1] = -0.0
         path = tmp_path / "pin.csv"
-        write_csv(series[0], str(path))
-        assert path.read_bytes() == _reference_csv_text(times, series[0].values).encode()
-        # several files on one time column: the first formats the times,
-        # block by block, and the others reuse its text
-        with csvio._one_time_column(grid.times):
-            for k, s in enumerate(series):
-                with mock.patch.object(csvio, "_g17_text", wraps=csvio._g17_text) as g17:
-                    write_csv(s, str(path))
-                time_blocks = sum(call.args[1] == b"," for call in g17.call_args_list)
-                assert time_blocks == (-(-n // _CHUNK) if k == 0 else 0)
-                assert path.read_bytes() == _reference_csv_text(times, s.values).encode()
+        write_csv(TimeSeries(times, values), str(path))
+        assert path.read_bytes() == _reference_csv_text(times, values).encode("utf-8")
 
 
 @pytest.mark.parametrize("source", ["synth", "irregular"])
