@@ -11,7 +11,8 @@ opens the file as text and skips a header on line 1 and the blank lines
 before the first row. A regular file is then parsed by numpy from its
 path, which numpy reads in blocks with its C reader. Given lines, numpy
 takes them one at a time; that is how it reads a pipe or a FIFO, which
-cannot be read twice. numpy opens a name ending ``.gz``, ``.bz2``, ``.xz``
+cannot be read twice: its bytes are read once and kept in memory, and both
+parsers read them. numpy opens a name ending ``.gz``, ``.bz2``, ``.xz``
 or ``.lzma`` through a decompressor and a URL as a download, so such names
 are given as lines too: a compressed file stays "not UTF-8" and no file is
 fetched. Any file the call rejects is read again by a line scan, which
@@ -64,6 +65,7 @@ Written files get the mode ``open(path, "w")`` gives.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -82,6 +84,10 @@ def read_csv(path: str | os.PathLike) -> TimeSeries:
     A file that is not UTF-8 text raises ValueError naming the file."""
     path = os.fsdecode(path)
     with open(path, "r", encoding="utf-8-sig") as fh:
+        if not fh.seekable():
+            # a pipe or a FIFO can be read only once: its bytes are kept, and
+            # numpy and the line scan both read them as text
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8-sig")
         try:
             table = _load_table(fh)
         except ValueError:  # a row numpy cannot parse, or bytes that are not UTF-8
@@ -110,15 +116,16 @@ _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def _load_table(fh: TextIO) -> np.ndarray | None:
     """The rows of a well-formed file in one array call, else None.
 
-    ``fh`` is a file opened by name as text. Its lines up to the first row
-    are skipped: line 1 if it is a header, and blank lines. A regular file
+    ``fh`` is a file opened by name as text, or the bytes of a pipe or a
+    FIFO held in memory and read as text. Its lines up to the first row are
+    skipped: line 1 if it is a header, and blank lines. A regular file
     under a name numpy neither decompresses nor downloads is then parsed
-    again from its name, by numpy's block reader; any other input (a pipe,
-    a FIFO) cannot be read twice, so numpy takes its remaining lines from
-    ``fh``. numpy converts each field with the parser ``float`` uses, so
-    every value it reads has the bits the line scan would give; what it
-    rejects goes to the scan, which then rejects an underscore or a
-    non-ASCII digit too and skips a blank line of spaces.
+    again from its name, by numpy's block reader; numpy takes any other
+    input's remaining lines from ``fh``. numpy converts each field with the
+    parser ``float`` uses, so every value it reads has the bits the line
+    scan would give; what it rejects goes to the scan, which then rejects
+    an underscore or a non-ASCII digit too and skips a blank line of
+    spaces.
     """
     skip = 0
     for line in fh:
@@ -127,14 +134,20 @@ def _load_table(fh: TextIO) -> np.ndarray | None:
         skip += 1
     else:  # an empty body makes numpy warn; the scan raises its own error for it
         return None
-    path = fh.name
-    if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            and not path.endswith(_DECOMPRESSED) and "://" not in path):
-        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+    if _is_regular_file(fh) and not fh.name.endswith(_DECOMPRESSED) and "://" not in fh.name:
+        table = np.loadtxt(fh.name, delimiter=",", comments=None, ndmin=2, skiprows=skip,
                            encoding="utf-8-sig")
     else:
         table = np.loadtxt(itertools.chain([line], fh), delimiter=",", comments=None, ndmin=2)
     return table if table.shape[1] in (1, 2) else None
+
+
+def _is_regular_file(fh: TextIO) -> bool:
+    """Whether ``fh`` reads a regular file; false for bytes held in memory."""
+    try:
+        return stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    except io.UnsupportedOperation:
+        return False
 
 
 def _scan_table(path: str, fh: TextIO) -> np.ndarray:

@@ -61,7 +61,7 @@ def extend(
     v = np.asarray(v, dtype=np.float64)
     if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
         raise ValueError("control times and values must be 1-d and equally long")
-    if not (t[1:] > t[:-1]).all():
+    if not np.logical_and.reduce(t[1:] > t[:-1]):
         raise ValueError("control times must be strictly increasing")
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
@@ -110,6 +110,6 @@ def extend(
         raise FloatingPointError(_OVERFLOW_MESSAGE)
     out_t = np.concatenate([head_t, t, tail_t])
     out_v = np.concatenate([head_v, v, tail_v])
-    if not (out_t[1:] > out_t[:-1]).all():
+    if not np.logical_and.reduce(out_t[1:] > out_t[:-1]):
         raise ValueError("extension produced non-increasing times")
     return out_t, out_v

@@ -44,9 +44,10 @@ class TimeSeries:
             )
         if len(times) < 2:
             raise ValueError("a series needs at least 2 samples")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
+        if not (np.logical_and.reduce(np.isfinite(times))
+                and np.logical_and.reduce(np.isfinite(values))):
             raise ValueError("times and values must be finite")
-        if not np.all(times[1:] > times[:-1]):
+        if not np.logical_and.reduce(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         times.flags.writeable = False
         values.flags.writeable = False
@@ -74,7 +75,7 @@ class TimeSeries:
             raise ValueError(
                 f"values of shape {values.shape} do not fit a grid of {len(self.times)} samples"
             )
-        if not np.isfinite(values).all():
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise ValueError("values must be finite")
         return self._with_fresh_values(values)
 
@@ -167,7 +168,7 @@ def _overflow_checked(values: np.ndarray) -> np.ndarray:
     Callers pass values computed from finite data, so a non-finite one
     means the arithmetic overflowed float64.
     """
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values)):
         raise FloatingPointError(_OVERFLOW_MESSAGE)
     return values
 
@@ -181,16 +182,28 @@ def find_extrema(s: TimeSeries) -> Extrema:
     tie. Runs touching the series boundary are not extrema. The result
     alternates between maxima and minima; monotone input gives an empty
     record.
+
+    Input with no two equal neighbours, the common case, has only
+    one-sample runs: each change of step direction is an extremum at the
+    sample between the two steps, and no run bounds are formed.
     """
     v = s.values
     # neighbours are compared, not subtracted, so values near the float64
     # limit cannot overflow
-    moves = (v[1:] != v[:-1]).nonzero()[0]
-    rising = (v[1:] > v[:-1])[moves]
-    # consecutive nonzero steps that change direction enclose one run of
-    # equal values: samples moves[k] + 1 through moves[k + 1]
-    turn = (rising[:-1] != rising[1:]).nonzero()[0]
-    idx = (moves[turn] + 1 + moves[turn + 1]) // 2
+    moved = v[1:] != v[:-1]
+    rising = v[1:] > v[:-1]
+    if np.logical_and.reduce(moved):
+        # no two neighbours are equal: steps k and k + 1 that change
+        # direction enclose the one-sample run k + 1
+        turn = (rising[:-1] != rising[1:]).nonzero()[0]
+        idx = turn + 1
+    else:
+        moves = moved.nonzero()[0]
+        rising = rising[moves]
+        # consecutive nonzero steps that change direction enclose one run of
+        # equal values: samples moves[k] + 1 through moves[k + 1]
+        turn = (rising[:-1] != rising[1:]).nonzero()[0]
+        idx = (moves[turn] + 1 + moves[turn + 1]) // 2
     return Extrema(idx, s.times[idx], v[idx], rising[turn])
 
 

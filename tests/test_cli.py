@@ -262,6 +262,30 @@ def test_csv_reads_every_row_of_a_pipe(rows):
     assert series.values.tobytes() == values.tobytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("rows, bad", [(3, 1), (5000, 4321)])  # within one read buffer, and past it
+def test_fault_in_a_fifo_names_its_line(tmp_path, capsys, rows, bad):
+    # a FIFO cannot be read twice: numpy rejects the row, and the line scan
+    # reads the same text again to name the line
+    fifo = tmp_path / "in.csv"
+    os.mkfifo(fifo)
+    lines = [f"{i},{i % 7}\n" for i in range(rows)]
+    lines[bad] = f"{bad},x\n"
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.writelines(lines)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    code = main(["decompose", "--input", str(fifo), "--output-dir", str(tmp_path / "out")])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"fastimd: error: {fifo}: line {bad + 1}: non-numeric row '{bad},x'"]
+
+
 def test_csv_names_numpy_decompresses_are_read_as_lines():
     # numpy's path reader decompresses these endings; given lines, numpy and
     # the scan read the bytes as they are, so a compressed file is "not UTF-8"

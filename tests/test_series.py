@@ -14,6 +14,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastimd import (
     Extremum,
@@ -233,6 +235,23 @@ def test_extrema_match_reference_on_plateaus():
         n = int(rng.integers(2, 61))
         v = rng.integers(-2, 3, n).astype(float)
         _check_against_reference(TimeSeries(np.arange(float(n)), v))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    # small integers: plateaus common, inside and at either boundary
+    st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=60),
+    # distinct values: no two neighbours equal
+    st.lists(_FINITE, min_size=2, max_size=60, unique=True),
+    # any finite values, near the float64 limit and subnormal included
+    st.lists(_FINITE, min_size=2, max_size=60),
+))
+def test_extrema_match_reference_with_and_without_plateaus(values):
+    v = np.array(values)
+    _check_against_reference(TimeSeries(np.arange(float(len(v))), v))
 
 
 @pytest.mark.filterwarnings("error")

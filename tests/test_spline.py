@@ -15,8 +15,9 @@ import pytest
 from scipy.interpolate import CubicSpline as SciSpline
 from scipy.linalg import solve_banded
 
-from fastimd import build_spline
-from fastimd.spline import _solve_moments
+from fastimd import build_spline, spline
+from fastimd.spline import (_LEVELS, _RUN_GATHER_MIN, _cyclic_reduction, _moment_system,
+                            _padded_length, _reduce, _solve_moments)
 
 
 def test_three_knot_hat():
@@ -110,6 +111,136 @@ def test_moments_match_banded_solver(clamped):
         want = _banded_moments(t, y, clamped)
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+
+def _full_reduction(lower, diag, upper, rhs):
+    """Cyclic reduction down to one row, as the moment solve ran before it
+    stopped after ``_LEVELS`` levels: identity rows pad the system to
+    2^k - 1 unknowns, and every level halves it."""
+    n = len(diag)
+    pad = (1 << n.bit_length()) - 1 - n
+    a = np.concatenate((lower, np.zeros(pad)))
+    b = np.concatenate((diag, np.ones(pad)))
+    c = np.concatenate((upper, np.zeros(pad)))
+    d = np.concatenate((rhs, np.zeros(pad)))
+    levels = []
+    while len(b) > 1:
+        levels.append((a, b, c, d))
+        alpha = -a[1::2] / b[0:-1:2]
+        gamma = -c[1::2] / b[2::2]
+        a, b, c, d = (
+            alpha * a[0:-1:2],
+            b[1::2] + alpha * c[0:-1:2] + gamma * a[2::2],
+            gamma * c[2::2],
+            d[1::2] + alpha * d[0:-1:2] + gamma * d[2::2],
+        )
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        around = np.concatenate(([0.0], x, [0.0]))
+        full = np.empty(len(b))
+        full[1::2] = x
+        full[0::2] = (d[0::2] - a[0::2] * around[:-1] - c[0::2] * around[1:]) / b[0::2]
+        x = full
+    return x[:n]
+
+
+def _spaced_system(h, y, flat):
+    """The moment system of knots ``h`` apart with values ``y``, unpadded,
+    built from the spacings: knot times spread over many decades would round
+    the short spacings away."""
+    n = len(y)
+    slope = np.diff(y) / h
+    lower, diag, upper, rhs = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    lower[1:-1] = h[:-1]
+    upper[1:-1] = h[1:]
+    rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+    if flat:
+        diag[0], upper[0], rhs[0] = 2.0 * h[0], h[0], 6.0 * slope[0]
+        diag[-1], lower[-1], rhs[-1] = 2.0 * h[-1], h[-1], 6.0 * (0.0 - slope[-1])
+    return lower, diag, upper, rhs
+
+
+def _padded(system):
+    """``system`` with identity rows appended up to ``_padded_length``."""
+    n = len(system[1])
+    fill = _padded_length(n) - n
+    return tuple(np.concatenate((d, np.full(fill, v))) for d, v in zip(system, (0.0, 1.0, 0.0, 0.0)))
+
+
+# every size up to 40, both sides of 127 (the largest system reduced to one
+# row) and of 191 (the second padded length past it), and large systems
+_SOLVE_SIZES = [*range(2, 41), 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 193, 1000, 4097,
+                100_000]
+
+
+def test_padded_lengths():
+    assert [_padded_length(n) for n in (2, 3, 4, 64, 127, 128, 191, 192, 100_000)] == [
+        3, 3, 7, 127, 127, 191, 191, 255, 100_031]
+    for n in range(128, 2000):
+        size = _padded_length(n)
+        assert (size + 1) % 2**_LEVELS == 0 and 0 <= size - n < 2**_LEVELS
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
+def test_moment_system_is_padded_with_identity_rows(flat):
+    rng = np.random.default_rng(29)
+    for n in _SOLVE_SIZES[:-1]:
+        t = np.cumsum(rng.uniform(0.01, 100.0, n))
+        y = rng.normal(size=n)
+        got = _moment_system(t, y, flat)
+        want = _padded(_spaced_system(np.diff(t), y, flat))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), n
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
+@pytest.mark.parametrize("values", ["normal", "integer"])
+def test_early_stop_gives_the_full_reduction_bits(flat, values):
+    # spacings over 26 decades, tiny intervals next to huge ones
+    rng = np.random.default_rng(37 + flat)
+    for n in _SOLVE_SIZES:
+        h = 10.0 ** rng.uniform(-13.0, 13.0, n - 1)
+        y = rng.normal(size=n) if values == "normal" else rng.integers(-3, 4, n).astype(float)
+        system = _spaced_system(h, y, flat)
+        got = _cyclic_reduction(*_padded(system))
+        assert len(got) == _padded_length(n)
+        assert got[:n].tobytes() == _full_reduction(*system).tobytes(), n
+        assert not got[n:].any()
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
+def test_early_stop_on_spiky_right_hand_sides(flat):
+    # 5% of the right-hand side is +-1e12 and the rest zero, so many
+    # moments are far below the largest: the terms the early stop drops can
+    # then show in their last bits, by far less than round-off of the largest
+    rng = np.random.default_rng(43 + flat)
+    for n in _SOLVE_SIZES:
+        lower, diag, upper, _ = _spaced_system(10.0 ** rng.uniform(-13.0, 13.0, n - 1),
+                                               np.zeros(n), flat)
+        rhs = np.where(rng.random(n) < 0.05, rng.choice([-1e12, 1e12], n), 0.0)
+        want = _full_reduction(lower, diag, upper, rhs)
+        got = _cyclic_reduction(*_padded((lower, diag, upper, rhs)))[:n]
+        assert np.max(np.abs(got - want)) <= 1e-30 * np.max(np.abs(want)), n
+
+
+def _off_diagonal_ratio(a, b, c):
+    """δ = max (|a| + |c|) / |b| over the rows."""
+    return float(np.max((np.abs(a) + np.abs(c)) / np.abs(b)))
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
+def test_system_is_diagonal_after_the_last_level(flat):
+    # Heller: each level at least squares δ, from 1/2 to 2^-64 after six
+    rng = np.random.default_rng(53 + flat)
+    for n in [128, 129, 191, 192, 1000, 4097, 100_000]:
+        h = 10.0 ** rng.uniform(-13.0, 13.0, n - 1)
+        a, b, c, d = _padded(_spaced_system(h, rng.normal(size=n), flat))
+        assert _off_diagonal_ratio(a, b, c) <= 0.5
+        for _ in range(_LEVELS):
+            a, b, c, d = _reduce(a, b, c, d)
+        assert len(b) == (_padded_length(n) + 1) // 2**_LEVELS - 1
+        assert _off_diagonal_ratio(a, b, c) <= 2.0**-60, n
 
 
 @pytest.mark.parametrize("flat_ends", [False, True], ids=["natural", "flat"])
@@ -226,6 +357,17 @@ def _samples_between_knots(rng, t):
     return g[(g >= t[0]) & (g <= t[-1])]
 
 
+def _dense(rng, t):
+    """Irregular runs of at least ``_RUN_GATHER_MIN`` points per knot
+    interval on average, with about a fifth of the intervals empty."""
+    m = len(t) - 1
+    counts = rng.integers(0, 2 * _RUN_GATHER_MIN + 1, m)
+    counts[rng.random(m) < 0.2] = 0
+    counts[rng.integers(m)] += max(0, _RUN_GATHER_MIN * m - counts.sum())
+    runs = [np.sort(rng.uniform(lo, hi, k)) for lo, hi, k in zip(t[:-1], t[1:], counts)]
+    return np.concatenate((*runs, t[-1:]))
+
+
 _GRIDS = {
     "on_knots": lambda rng, t: np.sort(np.concatenate((_inside(rng, t, 40), t[1:-1]))),
     "repeated": lambda rng, t: np.repeat(_inside(rng, t, 30), rng.integers(1, 4, 30)),
@@ -237,6 +379,15 @@ _GRIDS = {
     "last_knot": lambda rng, t: t[-1:].copy(),
     # far more knots than points, so most intervals hold no point
     "empty_intervals": lambda rng, t: np.concatenate(([t[0]], _inside(rng, t, 3), [t[-1]])),
+}
+# the kinds above, on which the Horner and moment forms were compared
+_FORM_GRIDS = list(_GRIDS)
+_GRIDS |= {
+    # gathered by run lengths
+    "dense": _dense,
+    # just either side of the run-length gather's threshold
+    "at_run_threshold": lambda rng, t: _inside(rng, t, _RUN_GATHER_MIN * (len(t) - 1)),
+    "below_run_threshold": lambda rng, t: _inside(rng, t, _RUN_GATHER_MIN * (len(t) - 1) - 1),
 }
 
 
@@ -259,8 +410,19 @@ def test_grid_evaluation_is_bit_identical_to_reference(grid, clamped):
         assert got.tobytes() == _reference_evaluate(sp, x).tobytes(), (grid, len(sp.t))
 
 
-@pytest.mark.parametrize("clamped", [False, True], ids=["natural", "clamped"])
 @pytest.mark.parametrize("grid", list(_GRIDS))
+def test_both_gathers_give_the_same_bits(grid, monkeypatch):
+    # a threshold of 0 spreads every grid by run lengths, a huge one none
+    for sp, x in _grid_cases(grid, False):
+        want = sp.evaluate_on_grid(x).tobytes()
+        for threshold in (0, 2**62):
+            monkeypatch.setattr(spline, "_RUN_GATHER_MIN", threshold)
+            assert sp.evaluate_on_grid(x).tobytes() == want, (threshold, len(sp.t))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["natural", "clamped"])
+@pytest.mark.parametrize("grid", _FORM_GRIDS)
 def test_horner_form_matches_moment_form_to_round_off(grid, clamped):
     # the largest difference over these cases is 16 ulp of max |y|
     for sp, x in _grid_cases(grid, clamped):
@@ -345,7 +507,8 @@ def test_intervals_past_the_float64_limit_match_the_scaled_spline(flat_ends):
 
 def _knot_index_cases():
     """Splines of 2 to 200 knots, natural and flat, on irregular grids that
-    hold some knots as grid points, some twice, and span the knots exactly."""
+    hold some knots as grid points, some twice, and span the knots exactly;
+    one grid of each pair is sparse and one dense."""
     rng = np.random.default_rng(47)
     for knots in [2, 3, 5, 17, 60, 200]:
         for flat_ends in (False, True):
@@ -356,6 +519,8 @@ def _knot_index_cases():
             twice = on[rng.random(len(on)) < 0.5]
             x = np.sort(np.concatenate((_inside(rng, t, 3 * knots), on, twice, [t[0], t[-1]])))
             yield sp, x
+            # dense enough to be gathered by run lengths
+            yield sp, np.sort(np.concatenate((_dense(rng, t), on, twice)))
 
 
 def test_knot_index_gives_the_searched_bits():
