@@ -173,6 +173,14 @@ def _padded(system):
 _SOLVE_SIZES = [*range(2, 41), 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 193, 1000, 4097,
                 100_000]
 
+# knot spacings: over 26 decades, tiny intervals next to huge ones; equal,
+# where δ falls slowest (to 2^-59.8 after five levels); and within a factor 4
+_SPACINGS = {
+    "decades": lambda rng, n: 10.0 ** rng.uniform(-13.0, 13.0, n - 1),
+    "equal": lambda rng, n: np.ones(n - 1),
+    "uneven": lambda rng, n: rng.uniform(0.5, 2.0, n - 1),
+}
+
 
 def test_padded_lengths():
     assert [_padded_length(n) for n in (2, 3, 4, 64, 127, 128, 191, 192, 100_000)] == [
@@ -196,11 +204,11 @@ def test_moment_system_is_padded_with_identity_rows(flat):
 
 @pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
 @pytest.mark.parametrize("values", ["normal", "integer"])
-def test_early_stop_gives_the_full_reduction_bits(flat, values):
-    # spacings over 26 decades, tiny intervals next to huge ones
+@pytest.mark.parametrize("spacing", list(_SPACINGS))
+def test_early_stop_gives_the_full_reduction_bits(spacing, values, flat):
     rng = np.random.default_rng(37 + flat)
     for n in _SOLVE_SIZES:
-        h = 10.0 ** rng.uniform(-13.0, 13.0, n - 1)
+        h = _SPACINGS[spacing](rng, n)
         y = rng.normal(size=n) if values == "normal" else rng.integers(-3, 4, n).astype(float)
         system = _spaced_system(h, y, flat)
         got = _cyclic_reduction(*_padded(system))
@@ -210,14 +218,14 @@ def test_early_stop_gives_the_full_reduction_bits(flat, values):
 
 
 @pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
-def test_early_stop_on_spiky_right_hand_sides(flat):
+@pytest.mark.parametrize("spacing", list(_SPACINGS))
+def test_early_stop_on_spiky_right_hand_sides(spacing, flat):
     # 5% of the right-hand side is +-1e12 and the rest zero, so many
     # moments are far below the largest: the terms the early stop drops can
     # then show in their last bits, by far less than round-off of the largest
     rng = np.random.default_rng(43 + flat)
     for n in _SOLVE_SIZES:
-        lower, diag, upper, _ = _spaced_system(10.0 ** rng.uniform(-13.0, 13.0, n - 1),
-                                               np.zeros(n), flat)
+        lower, diag, upper, _ = _spaced_system(_SPACINGS[spacing](rng, n), np.zeros(n), flat)
         rhs = np.where(rng.random(n) < 0.05, rng.choice([-1e12, 1e12], n), 0.0)
         want = _full_reduction(lower, diag, upper, rhs)
         got = _cyclic_reduction(*_padded((lower, diag, upper, rhs)))[:n]
@@ -230,11 +238,12 @@ def _off_diagonal_ratio(a, b, c):
 
 
 @pytest.mark.parametrize("flat", [False, True], ids=["natural", "flat"])
-def test_system_is_diagonal_after_the_last_level(flat):
+@pytest.mark.parametrize("spacing", list(_SPACINGS))
+def test_system_is_diagonal_after_the_last_level(spacing, flat):
     # Heller: each level at least squares δ, from 1/2 to 2^-64 after six
     rng = np.random.default_rng(53 + flat)
     for n in [128, 129, 191, 192, 1000, 4097, 100_000]:
-        h = 10.0 ** rng.uniform(-13.0, 13.0, n - 1)
+        h = _SPACINGS[spacing](rng, n)
         a, b, c, d = _padded(_spaced_system(h, rng.normal(size=n), flat))
         assert _off_diagonal_ratio(a, b, c) <= 0.5
         for _ in range(_LEVELS):
