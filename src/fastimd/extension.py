@@ -38,7 +38,7 @@ EXTENSION_VARIANTS = ("strict", "consistent")
 _CYCLIC_RTOL = 1e-9
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def extend(
     t: np.ndarray,
     v: np.ndarray,
@@ -52,10 +52,12 @@ def extend(
 
     Odd extension needs ``start_anchor`` and ``end_anchor`` as the boundary
     (time, value) pairs to reflect through. Returns the extended pair with
-    the original points unchanged in the middle; raises ValueError if the
-    synthetic times would not remain strictly increasing, and
-    FloatingPointError if a synthetic time or value is not finite, which
-    happens when it overflows float64.
+    the original points unchanged in the middle. Raises ValueError if the
+    synthetic times would not remain strictly increasing, or if a synthetic
+    point is not finite and one of the three outermost points at either end,
+    or an anchor the odd extension uses, is not finite either; and
+    FloatingPointError if a synthetic point reflected from finite ones
+    overflows float64.
     """
     t = np.asarray(t, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -91,7 +93,7 @@ def extend(
         if m < 4:
             raise ValueError("cyclic extension needs at least 4 control points")
         scale = max(abs(v[0]), abs(v[-1]), 1.0)
-        if abs(v[0] - v[-1]) > _CYCLIC_RTOL * scale:
+        if not abs(v[0] - v[-1]) <= _CYCLIC_RTOL * scale:  # NaN ends fail too
             raise ValueError(
                 "cyclic extension needs equal first and last control values "
                 f"(got {v[0]} and {v[-1]})"
@@ -105,8 +107,12 @@ def extend(
         tail_v = [v[1], v[2]]
 
     # points reflected past the data ends can overflow near the float64
-    # limit, which is reported here instead of by numpy warnings
+    # limit, which is reported here instead of by numpy warnings; a point
+    # computed from a non-finite one is bad input, not an overflow
     if not all(map(math.isfinite, (*head_t, *tail_t, *head_v, *tail_v))):
+        used = (*t[:3], *t[-3:], *v[:3], *v[-3:], *((ts, fs, te, fe) if kind == "odd" else ()))
+        if not all(map(math.isfinite, used)):
+            raise ValueError("control points and boundary anchors must be finite")
         raise FloatingPointError(_OVERFLOW_MESSAGE)
     out_t = np.concatenate([head_t, t, tail_t])
     out_v = np.concatenate([head_v, v, tail_v])

@@ -95,9 +95,7 @@ class FilterResult:
     def blocked(self) -> TimeSeries:
         """The removed part, ``data - filtered``: one subtraction on each
         access. Raises FloatingPointError when it overflows float64."""
-        with np.errstate(over="ignore"):  # reported by the check below
-            values = _overflow_checked(self.data.values - self.filtered.values)
-        return self.data._with_fresh_values(values)
+        return self.data._minus(self.filtered.values)
 
     @property
     def passes(self) -> int:

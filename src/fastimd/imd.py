@@ -95,9 +95,7 @@ class ModeComponent:
         """The component, ``level_input - residue``: one subtraction on each
         access, so read it once and keep it where it is used more than once.
         Raises FloatingPointError when it overflows float64."""
-        with np.errstate(over="ignore"):  # reported by the check below
-            values = _overflow_checked(self.level_input.values - self.residue.values)
-        return self.level_input._with_fresh_values(values)
+        return self.level_input._minus(self.residue.values)
 
     @property
     def final_delta(self) -> float:
@@ -173,7 +171,7 @@ def initial_residue(data: TimeSeries, initialization: str = "derivative") -> Opt
     turning points of the data (the derivative's extrema), held constant
     from the outermost turning point to the series edge.
     "data_function": a zero series, so refinement starts from the data
-    itself.
+    itself. Raises FloatingPointError when the interpolant overflows float64.
     """
     if initialization not in INITIALIZATIONS:
         raise ValueError(f"unknown initialization {initialization!r}")
@@ -183,8 +181,10 @@ def initial_residue(data: TimeSeries, initialization: str = "derivative") -> Opt
     if len(idx) < 3:
         return None
     if initialization == "data_function":
-        return data.with_values(np.zeros(len(data)))
-    return data.with_values(np.interp(data.times, data.times[idx], data.values[idx]))
+        return data._with_fresh_values(np.zeros(len(data)))
+    # np.interp overflows its slopes without a warning; the check reports it
+    return data._with_fresh_values(
+        _overflow_checked(np.interp(data.times, data.times[idx], data.values[idx])))
 
 
 def refine_once(
@@ -223,18 +223,17 @@ def refine_once(
         mt, mv = median_points(et, ev)
         # extending the medians the same way puts knots past both data ends
         # under every extension kind, so the spline covers the whole grid
-        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
-        spline = build_spline(st, _overflow_checked(sv))
+        st, sv = extend(mt, _overflow_checked(mv), cfg.extension,
+                        start_anchor=start, end_anchor=end)
+        spline = build_spline(st, sv)
         # every knot but the two extension knots past each data end is the
         # data sample at ctrl, so where the knots fall in the grid is known
         # without a search (the spline checks it)
         residue_vals = spline.evaluate_on_grid(
             data.times, knot_index=np.concatenate(([0, 0], ctrl, [n, n]))
         )
-        # the data is finite, so a non-finite residue shows here too
-        imf_vals = _overflow_checked(data.values - residue_vals)
-    # both arrays are fresh and now known to be finite
-    return data._with_fresh_values(residue_vals), data._with_fresh_values(imf_vals), len(idx)
+    # the data is finite, so a non-finite residue shows in the component
+    return data._with_fresh_values(residue_vals), data._minus(residue_vals), len(idx)
 
 
 def extract_mode(
@@ -247,12 +246,12 @@ def extract_mode(
     remains. Otherwise refinement runs until the iteration cap, until the
     largest residue change between passes drops under the tolerance, or until
     that change stops shrinking, in which case the previous, better iterate
-    is kept.
+    is kept. Raises FloatingPointError when a series overflows float64.
     """
     residue = initial_residue(data, cfg.initialization)
     if residue is None:
         return None
-    imf = data.with_values(data.values - residue.values)
+    imf = data._minus(residue.values)
     tol = cfg.resolve_delta_tolerance(data)
 
     kept_iter = 0

@@ -22,12 +22,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A sampled signal: strictly increasing times paired with finite values.
 
     Both arrays are stored as read-only float64 copies, so a constructed
-    series can be shared freely across threads.
+    series can be shared freely across threads. Series compare by identity
+    and hash as objects, so records holding them compare and hash too.
     """
 
     times: np.ndarray
@@ -65,7 +66,7 @@ class TimeSeries:
             return float(_overflow_checked(self.values.max() - self.values.min()))
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
-        """A new series on the same grid.
+        """A new series on the same grid, from the caller's values.
 
         The new series shares this one's read-only ``times``, which are
         already validated; only the values are copied and checked.
@@ -78,6 +79,11 @@ class TimeSeries:
         if not np.logical_and.reduce(np.isfinite(values)):
             raise ValueError("values must be finite")
         return self._with_fresh_values(values)
+
+    def _minus(self, values: np.ndarray) -> "TimeSeries":
+        """This series minus ``values``; FloatingPointError if it overflows float64."""
+        with np.errstate(over="ignore"):  # reported by the check below
+            return self._with_fresh_values(_overflow_checked(self.values - values))
 
     def _with_fresh_values(self, values: np.ndarray) -> "TimeSeries":
         """A new series on the same grid that takes ``values`` as it is,

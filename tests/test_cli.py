@@ -24,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fastimd import (FilterCriteria, RefinementConfig, TimeSeries, decompose, filter_series,
-                     random_walk, read_csv, render_svg, two_cosine, write_csv)
+from fastimd import (FilterCriteria, ModeComponent, RefinementConfig, TimeSeries, decompose,
+                     filter_series, random_walk, read_csv, render_svg, two_cosine, write_csv)
 from fastimd import csvio, svgplot
 from fastimd.cli import format_mode_line, main
 from fastimd.csvio import _CHUNK
@@ -570,6 +570,39 @@ def test_decompose_plot_of_times_near_the_float64_limit(tmp_path, capsys):
             x, y = map(float, point.split(","))
             assert svgplot._MARGIN_LEFT <= x <= svgplot._WIDTH - svgplot._MARGIN_RIGHT
             assert svgplot._MARGIN_TOP <= y <= svgplot._HEIGHT - svgplot._MARGIN_BOTTOM
+
+
+def test_decompose_derives_each_component_once(tmp_path, capsys, monkeypatch):
+    # the printed extrema count and value range come from the one component
+    # the files and the chart are written from
+    reads = []
+    derive = ModeComponent.imf.fget
+
+    def counted(mode):
+        reads.append(mode)
+        return derive(mode)
+
+    monkeypatch.setattr(ModeComponent, "imf", property(counted))
+    code = main(["decompose", "--synth", "random_walk", "--seed", "1", "--plot",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 7
+    assert len(reads) == 7 and len(set(map(id, reads))) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--synth", "random_walk", "--seed", "1", "--plot"],
+    ["decompose", "--synth", "random_walk", "--seed", "1", "--init", "data"],
+    ["filter", "--synth", "two_cosine", "--block-jump", "0:20", "--plot"],
+])
+def test_cli_runs_without_the_copying_hand_over(tmp_path, capsys, monkeypatch, argv):
+    # with_values is for values from outside; the library never needs it
+    def refuse(self, values):
+        raise AssertionError("with_values called inside the library")
+
+    monkeypatch.setattr(TimeSeries, "with_values", refuse)
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------------------

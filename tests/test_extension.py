@@ -214,3 +214,30 @@ def test_overflowing_synthetic_points_raise(kind):
     t = np.arange(5.0)
     with pytest.raises(FloatingPointError, match="values overflowed float64"):
         extend(t, v * 1.7e308, "odd", start_anchor=(-1.0, 1.7e308), end_anchor=(5.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t, v, kind, anchors", [
+    ([0.0, 1.0, 2.0], [np.nan, 1.0, 2.0], "even", {}),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0], "even", {}),
+    ([-np.inf, 1.0, 2.0], [0.0, 1.0, 2.0], "cyclic", {}),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], "odd",
+     {"start_anchor": (0.0, np.nan), "end_anchor": (2.0, 2.0)}),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], "odd",
+     {"start_anchor": (0.0, 0.0), "end_anchor": (np.inf, 2.0)}),
+])
+def test_non_finite_control_points_are_bad_input(t, v, kind, anchors):
+    # a synthetic point computed from a non-finite point or anchor is not an
+    # overflow of finite arithmetic
+    if kind == "cyclic":
+        t, v = t + [3.0], v + [0.0]
+    with pytest.raises(ValueError, match="must be finite"):
+        extend(t, v, kind, **anchors)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("end", [np.nan, np.inf])
+def test_cyclic_extension_rejects_non_finite_ends(end):
+    # equal ends are checked so that NaN and infinite ends fail too
+    with pytest.raises(ValueError, match="equal first and last"):
+        extend([0.0, 1.0, 2.0, 3.0], [end, 1.0, 2.0, end], "cyclic")

@@ -466,6 +466,44 @@ def test_spread_beyond_float64_raises_the_documented_error():
             run(s)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_first_component_raises_the_documented_error():
+    # the first component, data minus the initial residue, overflows where
+    # the data and the residue do not
+    s = sinusoid()
+    huge = TimeSeries(s.times, s.values / 30 * 1.7e308)
+    with pytest.raises(FloatingPointError, match="overflowed float64"):
+        extract_mode(huge)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_initial_residue_raises_the_documented_error():
+    # np.interp overflows its slopes between turning points of values
+    # spanning +-1.6e308, and gives no warning of its own
+    w = random_walk(15, span=49)
+    v = w.values - 0.5 * (w.values.max() + w.values.min())
+    huge = TimeSeries(w.times, v * (1.6e308 / np.abs(v).max()))
+    for run in (initial_residue, extract_mode):
+        with pytest.raises(FloatingPointError, match="overflowed float64"):
+            run(huge)
+
+
+def test_computed_series_skip_the_copying_hand_over(monkeypatch):
+    # every series the library computes goes through the one checked
+    # hand-over; with_values, the copying path, is left to callers
+    def refuse(self, values):
+        raise AssertionError("with_values called inside the library")
+
+    walk = random_walk(2, span=999)
+    want = [len(decompose(walk, RefinementConfig(initialization=init)).modes)
+            for init in ("derivative", "data_function")]
+    monkeypatch.setattr(TimeSeries, "with_values", refuse)
+    for init, modes in zip(("derivative", "data_function"), want):
+        assert len(decompose(walk, RefinementConfig(initialization=init)).modes) == modes
+    assert extract_mode(walk) is not None
+    assert filter_series(walk, FilterCriteria(jump_time_blocks=((0.0, 20.0),))).diagnostics
+
+
 def _times_near_the_limit():
     """Cosines of k half periods on times that reach 1.7e308, 1.2e308 or
     9e307 at either end; 28 of these 42 series once failed in the boundary

@@ -8,7 +8,8 @@ makes an error. Property tests rely on the ``pyproject.toml`` filters instead.
 The package's public names are pinned here, so a change that grows or
 shrinks the surface has to edit the pin on purpose. The benchmark's output
 check must fail a decomposition that returns a wrong component, rather than
-only one that raises.
+only one that raises. Every public record type must compare with ``==`` and
+hash: a dataclass that compares array fields by value raises on both.
 """
 
 import ast
@@ -155,3 +156,30 @@ def test_benchmark_check_fails_a_wrong_component(tmp_path, monkeypatch):
     assert len(result["failures"]) == result["attempted"]
     assert all(f["error"].startswith("outputs sum back to the input")
                for f in result["failures"])
+
+
+def _records(walk) -> list:
+    """One instance of every record type the public calls return, all
+    computed from ``walk``."""
+    criteria = fastimd.FilterCriteria(jump_time_blocks=((0.0, 20.0),))
+    result = fastimd.decompose(walk)
+    imf = result.modes[0].imf
+    extrema = fastimd.find_extrema(imf)
+    filtered = fastimd.filter_series(walk, criteria)
+    return [walk, extrema, extrema[0], fastimd.imf_report(imf), result.modes[0], result,
+            fastimd.mark_extrema(imf, criteria)[0], filtered.diagnostics[0], filtered,
+            fastimd.RefinementConfig(), criteria]
+
+
+def test_every_record_type_compares_and_hashes():
+    records = _records(fastimd.random_walk(1, span=199))
+    twins = _records(fastimd.random_walk(1, span=199))
+    public = {name for name in PUBLIC_NAMES
+              if dataclasses.is_dataclass(getattr(fastimd, name))}
+    assert sorted(type(r).__name__ for r in records) == sorted(public)
+    for record, twin in zip(records, twins):
+        # series and extrema arrays compare by identity, so a record that
+        # holds one is equal only to a record holding the same one
+        assert isinstance(record == twin, bool)
+        assert isinstance(hash(record), int)
+    assert records[0] != twins[0] and records[-1] == twins[-1]
