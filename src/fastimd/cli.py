@@ -1,5 +1,11 @@
 """Command-line front end: decompose and filter subcommands.
 
+Options pass through to the library. One left out is not passed on, so it
+takes the default of the call it feeds (``RefinementConfig``,
+``FilterCriteria``, ``decompose`` or a synthetic generator), documented
+there, and the library checks every value given. ``main`` alone maps
+failures to exit codes.
+
 Exit codes: 0 success, 1 invalid arguments, 2 I/O failure, 3 numeric failure
 (values that overflow float64).
 """
@@ -7,6 +13,7 @@ Exit codes: 0 success, 1 invalid arguments, 2 I/O failure, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Sequence
@@ -21,13 +28,7 @@ from .svgplot import render_svg
 
 __all__ = ["main", "run_decompose", "run_filter", "format_mode_line"]
 
-
-class CliError(Exception):
-    """Carries the process exit code alongside the message."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+_SYNTH_PARAMS = ("span", "step", "seed", "amplitude", "period", "phase")
 
 
 def format_mode_line(k: int, extrema_count: int, value_range: tuple, iterations: int,
@@ -62,87 +63,79 @@ def _jump_block(text: str) -> tuple:
     return pair
 
 
-def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
-    source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", metavar="CSV", help="input series file")
-    source.add_argument("--synth", metavar="KIND", choices=SYNTH_KINDS,
-                        help="generate input: %(choices)s")
-    sub.add_argument("--output-dir", default=".", metavar="DIR")
-    sub.add_argument("--span", type=float, default=None, help="synthetic signal span")
-    sub.add_argument("--step", type=float, default=None, help="synthetic sample step")
-    sub.add_argument("--seed", type=int, default=None, help="random_walk seed")
-    sub.add_argument("--amplitude", type=float, default=None, help="sinusoid amplitude")
-    sub.add_argument("--period", type=float, default=None, help="sinusoid period")
-    sub.add_argument("--phase", type=float, default=None, help="sinusoid phase")
-    sub.add_argument("--plot", action="store_true", help="also write an SVG chart")
-
-
-def _add_refinement_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-iters", type=int, default=12)
-    sub.add_argument("--delta-tol", type=float, default=None,
-                     help="absolute stop tolerance; default 1e-3 of the value range")
-    sub.add_argument("--extension", choices=EXTENSION_KINDS, default="even")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fastimd", description="Intrinsic mode decomposition and filtering.")
     commands = parser.add_subparsers(dest="command", required=True)
+    # an option left out stays absent from the parsed arguments; each dest is
+    # the name of the library parameter the option feeds
+    dec = commands.add_parser("decompose", help="split a series into modes and a residue",
+                              argument_default=argparse.SUPPRESS)
+    flt = commands.add_parser("filter", help="remove modes by jump time or amplitude",
+                              argument_default=argparse.SUPPRESS)
+    for sub in (dec, flt):
+        source = sub.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", metavar="CSV", help="input series file")
+        source.add_argument("--synth", metavar="KIND", choices=SYNTH_KINDS,
+                            help="generate input: %(choices)s")
+        sub.add_argument("--output-dir", default=".", metavar="DIR")
+        sub.add_argument("--span", type=float, help="synthetic signal span")
+        sub.add_argument("--step", type=float, help="synthetic sample step")
+        sub.add_argument("--seed", type=int, help="random_walk seed")
+        sub.add_argument("--amplitude", type=float, help="sinusoid amplitude")
+        sub.add_argument("--period", type=float, help="sinusoid period")
+        sub.add_argument("--phase", type=float, help="sinusoid phase")
+        sub.add_argument("--plot", action="store_true", default=False,
+                         help="also write an SVG chart")
+        sub.add_argument("--max-iters", dest="max_iterations", type=int, metavar="MAX_ITERS")
+        sub.add_argument("--delta-tol", dest="delta_tolerance", type=float, metavar="DELTA_TOL",
+                         help="absolute stop tolerance; default 1e-3 of the value range")
+        sub.add_argument("--extension", choices=EXTENSION_KINDS)
 
-    dec = commands.add_parser("decompose", help="split a series into modes and a residue")
-    _add_io_arguments(dec)
-    _add_refinement_arguments(dec)
-    dec.add_argument("--max-modes", type=int, default=16)
-    dec.add_argument("--init", choices=("derivative", "data"), default="derivative",
+    dec.add_argument("--max-modes", type=int)
+    dec.add_argument("--init", dest="initialization", choices=("derivative", "data"),
                      help="initial residue: derivative inflection points, or the data itself")
 
-    flt = commands.add_parser("filter", help="remove modes by jump time or amplitude")
-    _add_io_arguments(flt)
-    _add_refinement_arguments(flt)
-    flt.add_argument("--block-jump", type=_jump_block, action="append", default=[],
-                     metavar="LO:HI",
+    flt.add_argument("--block-jump", dest="jump_time_blocks", type=_jump_block,
+                     action="append", metavar="LO:HI",
                      help="block extrema with edge jump time in [LO, HI); write a "
                           "negative LO with '=', as in --block-jump=-inf:20, since "
                           "a separate argument starting with '-' reads as an option")
-    flt.add_argument("--amp-floor", type=float, default=0.0,
+    flt.add_argument("--amp-floor", dest="amplitude_floor", type=float, metavar="AMP_FLOOR",
                      help="block extrema with 0 < |value| < AMP_FLOOR")
-    flt.add_argument("--max-passes", type=int, default=8)
+    flt.add_argument("--max-passes", type=int)
     return parser
 
 
+def _given(args: argparse.Namespace, names: Sequence[str]) -> dict:
+    """The options among ``names`` that the command line gave."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _config(cls, args: argparse.Namespace):
+    """A ``cls`` dataclass from the given options that name its fields."""
+    return cls(**_given(args, [field.name for field in dataclasses.fields(cls)]))
+
+
 def _load_input(args: argparse.Namespace) -> tuple:
-    if args.input is not None:
+    if "input" in args:
         try:
             return read_csv(args.input), args.input
         except ValueError as exc:  # a malformed file is an I/O failure, not a bad argument
-            raise CliError(2, str(exc)) from exc
-    params = {}
-    for name in ("span", "step", "seed", "amplitude", "period", "phase"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+            raise OSError(str(exc)) from exc
     try:
-        return synth(args.synth, **params), f"synth:{args.synth}"
+        return synth(args.synth, **_given(args, _SYNTH_PARAMS)), f"synth:{args.synth}"
     except (TypeError, MemoryError) as exc:  # an unknown parameter, or a grid too long
-        raise CliError(1, str(exc)) from exc
-
-
-def _refinement_config(args: argparse.Namespace, initialization: str) -> RefinementConfig:
-    return RefinementConfig(
-        max_iterations=args.max_iters,
-        delta_tolerance=args.delta_tol,
-        extension=args.extension,
-        initialization=initialization,
-    )
+        raise ValueError(str(exc)) from exc
 
 
 def run_decompose(args: argparse.Namespace) -> None:
     """Run the decompose subcommand; ``main`` maps its failures to exit codes."""
     data, source = _load_input(args)
-    cfg = _refinement_config(args, "data_function" if args.init == "data" else "derivative")
-    if args.max_modes < 1:
-        raise CliError(1, "--max-modes must be at least 1")
+    if getattr(args, "initialization", None) == "data":
+        args = argparse.Namespace(**{**vars(args), "initialization": "data_function"})
+    cfg = _config(RefinementConfig, args)
     os.makedirs(args.output_dir, exist_ok=True)
-    result = decompose(data, cfg, max_modes=args.max_modes)
+    result = decompose(data, cfg, **_given(args, ["max_modes"]))
 
     lines = []
     chart = {"input": data}
@@ -169,12 +162,8 @@ def run_decompose(args: argparse.Namespace) -> None:
 def run_filter(args: argparse.Namespace) -> None:
     """Run the filter subcommand; ``main`` maps its failures to exit codes."""
     data, source = _load_input(args)
-    cfg = _refinement_config(args, "derivative")
-    criteria = FilterCriteria(
-        jump_time_blocks=tuple(args.block_jump),
-        amplitude_floor=args.amp_floor,
-        max_passes=args.max_passes,
-    )
+    cfg = _config(RefinementConfig, args)
+    criteria = _config(FilterCriteria, args)
     os.makedirs(args.output_dir, exist_ok=True)
     result = filter_series(data, criteria, cfg)
 
@@ -201,9 +190,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         (run_decompose if args.command == "decompose" else run_filter)(args)
-    except CliError as exc:
-        return _fail(exc.code, exc)
-    except OSError as exc:  # unreadable input, unwritable output
+    except OSError as exc:  # unreadable or malformed input, unwritable output
         return _fail(2, exc)
     except ValueError as exc:  # a checked precondition, e.g. cyclic extension on open ends
         return _fail(1, exc)

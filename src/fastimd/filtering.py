@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .imd import RefinementConfig, _chord_midpoints, extract_mode
+from .imd import RefinementConfig, _check_count, _chord_midpoints, extract_mode
 from .series import Extrema, TimeSeries, _overflow_checked, find_extrema
 from .spline import build_spline
 
@@ -53,8 +53,7 @@ class FilterCriteria:
         object.__setattr__(self, "jump_time_blocks", blocks)
         if not self.amplitude_floor >= 0.0:
             raise ValueError("amplitude_floor must be nonnegative")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
+        _check_count(self.max_passes, "max_passes")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ derivative of what remains has fewer than three extrema.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,16 @@ INITIALIZATIONS = ("derivative", "data_function")
 _NOISE_FLOOR = 1e-12
 
 
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least 1."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class RefinementConfig:
     """Knobs for one extraction level.
@@ -55,8 +66,7 @@ class RefinementConfig:
     initialization: str = "derivative"
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _check_count(self.max_iterations, "max_iterations")
         if self.delta_tolerance is not None and not self.delta_tolerance >= 0.0:
             raise ValueError("delta_tolerance must be nonnegative")
         if self.extension not in EXTENSION_KINDS:
@@ -106,12 +116,6 @@ class ModeComponent:
     def extrema_count(self) -> int:
         """Number of interior extrema of the component; scanned on access."""
         return len(find_extrema(self.imf))
-
-    @property
-    def value_range(self) -> tuple[float, float]:
-        """The component's smallest and largest value."""
-        values = self.imf.values
-        return float(values.min()), float(values.max())
 
 
 @dataclass(frozen=True)
@@ -306,8 +310,7 @@ def decompose(
     every component with the final residue reproduces the input to
     round-off.
     """
-    if max_modes < 1:
-        raise ValueError("max_modes must be at least 1")
+    _check_count(max_modes, "max_modes")
     reference = data.spread
     modes: list[ModeComponent] = []
     current = data

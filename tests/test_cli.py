@@ -7,8 +7,11 @@ line is pinned character by character; everything else goes through
 behaves the same.
 """
 
+import argparse
 import bz2
+import dataclasses
 import gzip
+import inspect
 import math
 import os
 import re
@@ -24,11 +27,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fastimd.cli
 from fastimd import (FilterCriteria, ModeComponent, RefinementConfig, TimeSeries, decompose,
                      filter_series, random_walk, read_csv, render_svg, two_cosine, write_csv)
 from fastimd import csvio, svgplot
-from fastimd.cli import format_mode_line, main
+from fastimd.cli import build_parser, format_mode_line, main
 from fastimd.csvio import _CHUNK
+from fastimd.signals import SYNTH_KINDS
 
 MODE_LINE = re.compile(
     r"^IMF component \d+, Extrema count: \d+, "
@@ -675,6 +680,117 @@ def test_filter_multiple_blocks_and_floor(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# options pass through to the library
+# ---------------------------------------------------------------------------
+
+# options the front end keeps for itself; every other one feeds a library call
+CLI_OWN_DESTS = {"help", "input", "synth", "output_dir", "plot"}
+
+USAGE = {
+    "decompose": """\
+usage: fastimd decompose [-h] (--input CSV | --synth KIND) [--output-dir DIR]
+                         [--span SPAN] [--step STEP] [--seed SEED]
+                         [--amplitude AMPLITUDE] [--period PERIOD]
+                         [--phase PHASE] [--plot] [--max-iters MAX_ITERS]
+                         [--delta-tol DELTA_TOL]
+                         [--extension {even,odd,cyclic}]
+                         [--max-modes MAX_MODES] [--init {derivative,data}]""",
+    "filter": """\
+usage: fastimd filter [-h] (--input CSV | --synth KIND) [--output-dir DIR]
+                      [--span SPAN] [--step STEP] [--seed SEED]
+                      [--amplitude AMPLITUDE] [--period PERIOD]
+                      [--phase PHASE] [--plot] [--max-iters MAX_ITERS]
+                      [--delta-tol DELTA_TOL] [--extension {even,odd,cyclic}]
+                      [--block-jump LO:HI] [--amp-floor AMP_FLOOR]
+                      [--max-passes MAX_PASSES]""",
+}
+
+
+def _recorded(monkeypatch, name: str) -> list:
+    """Wrap ``fastimd.cli.<name>`` so each call's arguments, defaults filled
+    in, are recorded before the real call runs."""
+    real = getattr(fastimd.cli, name)
+    signature = inspect.signature(real)
+    calls = []
+
+    def record(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fastimd.cli, name, record)
+    return calls
+
+
+def test_left_out_options_take_the_library_defaults(tmp_path, capsys, monkeypatch):
+    decomposed = _recorded(monkeypatch, "decompose")
+    filtered = _recorded(monkeypatch, "filter_series")
+    generated = _recorded(monkeypatch, "synth")
+    assert main(["decompose", "--synth", "two_cosine", "--output-dir", str(tmp_path / "d")]) == 0
+    assert main(["filter", "--synth", "two_cosine", "--output-dir", str(tmp_path / "f")]) == 0
+    capsys.readouterr()
+    max_modes = inspect.signature(decompose).parameters["max_modes"].default
+    assert [(call["cfg"], call["max_modes"]) for call in decomposed] == [
+        (RefinementConfig(), max_modes)]
+    assert [(call["criteria"], call["cfg"]) for call in filtered] == [
+        (FilterCriteria(), RefinementConfig())]
+    assert [call["params"] for call in generated] == [{}, {}]
+
+
+def test_given_options_reach_the_library(tmp_path, capsys, monkeypatch):
+    decomposed = _recorded(monkeypatch, "decompose")
+    filtered = _recorded(monkeypatch, "filter_series")
+    generated = _recorded(monkeypatch, "synth")
+    refinement = ["--max-iters", "3", "--delta-tol", "0.01", "--extension", "odd"]
+    assert main(["decompose", "--synth", "sinusoid", "--span", "200", "--step", "0.5",
+                 "--amplitude", "5", "--period", "40", "--phase", "1", *refinement,
+                 "--init", "data", "--max-modes", "2", "--output-dir", str(tmp_path / "d")]) == 0
+    assert main(["filter", "--synth", "random_walk", "--seed", "4", *refinement,
+                 "--block-jump", "0:20", "--block-jump=-inf:5", "--amp-floor", "0.1",
+                 "--max-passes", "2", "--output-dir", str(tmp_path / "f")]) == 0
+    capsys.readouterr()
+    cfg = RefinementConfig(max_iterations=3, delta_tolerance=0.01, extension="odd")
+    assert [(call["cfg"], call["max_modes"]) for call in decomposed] == [
+        (dataclasses.replace(cfg, initialization="data_function"), 2)]
+    assert [(call["criteria"], call["cfg"]) for call in filtered] == [
+        (FilterCriteria(jump_time_blocks=((0.0, 20.0), (-math.inf, 5.0)),
+                        amplitude_floor=0.1, max_passes=2), cfg)]
+    assert [(call["kind"], call["params"]) for call in generated] == [
+        ("sinusoid", {"span": 200.0, "step": 0.5, "amplitude": 5.0, "period": 40.0,
+                      "phase": 1.0}),
+        ("random_walk", {"seed": 4})]
+
+
+def test_every_option_is_named_after_the_parameter_it_feeds():
+    # renaming a library parameter fails here rather than on a user's command line
+    generators = {name for kind in SYNTH_KINDS
+                  for name in inspect.signature(getattr(fastimd, kind)).parameters}
+    config = {field.name for field in dataclasses.fields(RefinementConfig)}
+    feeds = {
+        "decompose": generators | config | set(inspect.signature(decompose).parameters),
+        "filter": generators | config | {field.name for field in dataclasses.fields(FilterCriteria)},
+    }
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == sorted(feeds)
+    for name, sub in commands.choices.items():
+        dests = {action.dest for action in sub._actions}
+        assert CLI_OWN_DESTS <= dests
+        assert dests - CLI_OWN_DESTS <= feeds[name] - {"data", "cfg"}, name
+
+
+@pytest.mark.parametrize("command", sorted(USAGE))
+def test_usage_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.split("\n\n")[0] == USAGE[command]
+    # a usage error prints the same lines
+    assert main([command]) == 1
+    assert capsys.readouterr().err.split(f"\nfastimd {command}: error:")[0] == USAGE[command]
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
@@ -712,8 +828,11 @@ def test_exit_1_on_bad_synth(tmp_path, capsys):
     # parameter that the generator does not accept
     assert main(["decompose", "--synth", "two_cosine", "--seed", "3",
                  "--output-dir", out]) == 1
+    capsys.readouterr()
+    # the library checks the mode count, after the output directory is made
     assert main(["decompose", "--synth", "two_cosine", "--max-modes", "0",
                  "--output-dir", out]) == 1
+    assert capsys.readouterr().err == "fastimd: error: max_modes must be at least 1\n"
     assert main(["decompose", "--synth", "two_cosine", "--max-iters", "0",
                  "--output-dir", out]) == 1
     capsys.readouterr()

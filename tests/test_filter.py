@@ -399,6 +399,14 @@ def test_criteria_validation():
         FilterCriteria(amplitude_floor=float("nan"))
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None],
+                         ids=["2.5", "3.0", "float64", "str", "None"])
+def test_criteria_rejects_a_pass_count_that_is_not_an_integer(count):
+    # a float used to pass the check and fail later inside range()
+    with pytest.raises(ValueError, match="max_passes must be an integer"):
+        FilterCriteria(max_passes=count)
+
+
 def test_criteria_tolerance_resolution():
     # the filter settles at the first pass that moves no sample by 1e-3 of
     # the input's spread, before the pass cap and while marks remain

@@ -277,9 +277,7 @@ def test_extract_diagnostics_are_consistent():
     assert mode.final_delta >= 0.0
     assert s.times[0] <= mode.delta_time <= s.times[-1]
     assert mode.extrema_count == len(find_extrema(mode.imf))
-    lo, hi = mode.value_range
-    assert lo == mode.imf.values.min()
-    assert hi == mode.imf.values.max()
+    assert not hasattr(mode, "value_range")
 
 
 def test_extract_respects_iteration_cap():
@@ -569,6 +567,22 @@ def test_config_rejects_bad_fields():
         RefinementConfig(extension="mirror")
     with pytest.raises(ValueError):
         RefinementConfig(initialization="guess")
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None],
+                         ids=["2.5", "3.0", "float64", "str", "None"])
+def test_counts_that_are_not_integers_are_rejected_early(count):
+    # a float used to pass the check and fail later inside range(), or,
+    # as max_modes, to allow one mode more than asked for
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        RefinementConfig(max_iterations=count)
+    with pytest.raises(ValueError, match="max_modes must be an integer"):
+        decompose(two_cosine(), max_modes=count)
+
+
+def test_counts_accept_integer_types():
+    assert RefinementConfig(max_iterations=np.int64(3)) == RefinementConfig(max_iterations=3)
+    assert len(decompose(two_cosine(), max_modes=np.int64(1)).modes) == 1
 
 
 def test_config_resolves_default_tolerance():

@@ -5,18 +5,21 @@ turns its own failure into a pytest ``INTERNALERROR`` that ends the whole
 session: hypothesis's report hook meets a DeprecationWarning, which the mark
 makes an error. Property tests rely on the ``pyproject.toml`` filters instead.
 
-The package's public names are pinned here, so a change that grows or
-shrinks the surface has to edit the pin on purpose. The benchmark's output
-check must fail a decomposition that returns a wrong component, rather than
-only one that raises. Every public record type must compare with ``==`` and
-hash: a dataclass that compares array fields by value raises on both.
+The package's public names and the command line's flags are pinned here,
+so a change that grows or shrinks either surface has to edit the pin on
+purpose. The benchmark's output check must fail a decomposition that returns
+a wrong component, rather than only one that raises. Every public record
+type must compare with ``==`` and hash: a dataclass that compares array
+fields by value raises on both.
 """
 
+import argparse
 import ast
 import dataclasses
 import os
 
 import fastimd
+from fastimd.cli import build_parser
 
 PUBLIC_NAMES = [
     "CubicSpline", "DecompositionResult", "EXTENSION_KINDS", "Extrema", "Extremum",
@@ -27,6 +30,19 @@ PUBLIC_NAMES = [
     "random_walk", "read_csv", "render_svg", "riding_wave", "sinusoid", "synth",
     "two_cosine", "write_csv",
 ]
+
+CLI_FLAGS = {
+    "decompose": [
+        "--amplitude", "--delta-tol", "--extension", "--help", "--init", "--input",
+        "--max-iters", "--max-modes", "--output-dir", "--period", "--phase", "--plot",
+        "--seed", "--span", "--step", "--synth", "-h",
+    ],
+    "filter": [
+        "--amp-floor", "--amplitude", "--block-jump", "--delta-tol", "--extension", "--help",
+        "--input", "--max-iters", "--max-passes", "--output-dir", "--period", "--phase",
+        "--plot", "--seed", "--span", "--step", "--synth", "-h",
+    ],
+}
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("tests", "perfbench")
@@ -133,6 +149,14 @@ def test_unmarked(x): pass
 def test_the_public_surface_is_pinned():
     assert sorted(fastimd.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(fastimd, name)] == []
+
+
+def test_the_cli_flags_are_pinned():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: sorted(flag for action in sub._actions for flag in action.option_strings)
+             for name, sub in commands.choices.items()}
+    assert flags == CLI_FLAGS
 
 
 def test_benchmark_check_fails_a_wrong_component(tmp_path, monkeypatch):
