@@ -3,8 +3,9 @@
 Options pass through to the library. One left out is not passed on, so it
 takes the default of the call it feeds (``RefinementConfig``,
 ``FilterCriteria``, ``decompose`` or a synthetic generator), documented
-there, and the library checks every value given. ``main`` alone maps
-failures to exit codes.
+there, and the library checks every value given. The output directory is
+made only once the library call has returned, so a rejected call writes
+nothing. ``main`` alone maps failures to exit codes.
 
 Exit codes: 0 success, 1 invalid arguments, 2 I/O failure, 3 numeric failure
 (values that overflow float64).
@@ -54,13 +55,11 @@ def _jump_block(text: str) -> tuple:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
+    # the library checks that lo < hi
     try:
-        pair = (float(lo), float(hi))
+        return float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric lo:hi, got {text!r}") from None
-    if not pair[0] < pair[1]:
-        raise argparse.ArgumentTypeError(f"need lo < hi in {text!r}")
-    return pair
 
 
 def build_parser() -> _Parser:
@@ -134,8 +133,8 @@ def run_decompose(args: argparse.Namespace) -> None:
     if getattr(args, "initialization", None) == "data":
         args = argparse.Namespace(**{**vars(args), "initialization": "data_function"})
     cfg = _config(RefinementConfig, args)
-    os.makedirs(args.output_dir, exist_ok=True)
     result = decompose(data, cfg, **_given(args, ["max_modes"]))
+    os.makedirs(args.output_dir, exist_ok=True)
 
     lines = []
     chart = {"input": data}
@@ -164,12 +163,12 @@ def run_filter(args: argparse.Namespace) -> None:
     data, source = _load_input(args)
     cfg = _config(RefinementConfig, args)
     criteria = _config(FilterCriteria, args)
-    os.makedirs(args.output_dir, exist_ok=True)
     result = filter_series(data, criteria, cfg)
 
     # derived, and raises FloatingPointError if it overflows: read it once,
-    # before any file is written
+    # before the output directory is made
     blocked = result.blocked
+    os.makedirs(args.output_dir, exist_ok=True)
     write_csv(result.filtered, os.path.join(args.output_dir, "filtered.csv"))
     write_csv(blocked, os.path.join(args.output_dir, "blocked.csv"))
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .imd import RefinementConfig, _check_count, _chord_midpoints, extract_mode
+from .imd import (RefinementConfig, _check_count, _check_nonnegative, _chord_midpoints,
+                  extract_mode)
 from .series import Extrema, TimeSeries, _overflow_checked, find_extrema
 from .spline import build_spline
 
@@ -46,13 +47,16 @@ class FilterCriteria:
     max_passes: int = 8
 
     def __post_init__(self) -> None:
-        blocks = tuple((float(lo), float(hi)) for lo, hi in self.jump_time_blocks)
+        try:
+            blocks = tuple((float(lo), float(hi)) for lo, hi in self.jump_time_blocks)
+        except (TypeError, ValueError):
+            raise ValueError("jump_time_blocks must hold (lo, hi) pairs of numbers, "
+                             f"got {self.jump_time_blocks!r}") from None
         for lo, hi in blocks:
             if not lo < hi:
                 raise ValueError(f"jump-time block [{lo}, {hi}) is empty")
         object.__setattr__(self, "jump_time_blocks", blocks)
-        if not self.amplitude_floor >= 0.0:
-            raise ValueError("amplitude_floor must be nonnegative")
+        _check_nonnegative(self.amplitude_floor, "amplitude_floor")
         _check_count(self.max_passes, "max_passes")
 
 

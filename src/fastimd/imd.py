@@ -13,6 +13,7 @@ derivative of what remains has fewer than three extrema.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -49,6 +50,12 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+def _check_nonnegative(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a real number of at least 0."""
+    if not (isinstance(value, numbers.Real) and value >= 0.0):
+        raise ValueError(f"{name} must be a nonnegative number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RefinementConfig:
     """Knobs for one extraction level.
@@ -67,8 +74,8 @@ class RefinementConfig:
 
     def __post_init__(self) -> None:
         _check_count(self.max_iterations, "max_iterations")
-        if self.delta_tolerance is not None and not self.delta_tolerance >= 0.0:
-            raise ValueError("delta_tolerance must be nonnegative")
+        if self.delta_tolerance is not None:
+            _check_nonnegative(self.delta_tolerance, "delta_tolerance")
         if self.extension not in EXTENSION_KINDS:
             raise ValueError(f"unknown extension kind {self.extension!r}")
         if self.initialization not in INITIALIZATIONS:

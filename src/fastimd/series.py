@@ -35,23 +35,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if times.ndim != 1 or values.ndim != 1:
-            raise ValueError("times and values must be one-dimensional")
-        if times.shape != values.shape:
-            raise ValueError(
-                f"times (len {len(times)}) and values (len {len(values)}) differ in length"
-            )
-        if len(times) < 2:
-            raise ValueError("a series needs at least 2 samples")
-        if not (np.logical_and.reduce(np.isfinite(times))
-                and np.logical_and.reduce(np.isfinite(values))):
-            raise ValueError("times and values must be finite")
-        if not np.logical_and.reduce(times[1:] > times[:-1]):
-            raise ValueError("times must be strictly increasing")
-        times.flags.writeable = False
-        values.flags.writeable = False
+        times, values = _checked_samples(self.times, self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -98,6 +82,33 @@ class TimeSeries:
         object.__setattr__(series, "times", self.times)
         object.__setattr__(series, "values", values)
         return series
+
+
+def _checked_samples(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 copies of ``times`` and ``values``, once they are
+    shown to sample a function: one-dimensional, equally long, at least 2
+    samples, finite, with strictly increasing times. ValueError otherwise.
+
+    A series and a spline's knots both pass this one rule.
+    """
+    times = np.array(times, dtype=np.float64, copy=True)
+    values = np.array(values, dtype=np.float64, copy=True)
+    if times.ndim != 1 or values.ndim != 1:
+        raise ValueError("times and values must be one-dimensional")
+    if times.shape != values.shape:
+        raise ValueError(
+            f"times (len {len(times)}) and values (len {len(values)}) differ in length"
+        )
+    if len(times) < 2:
+        raise ValueError("a series needs at least 2 samples")
+    if not (np.logical_and.reduce(np.isfinite(times))
+            and np.logical_and.reduce(np.isfinite(values))):
+        raise ValueError("times and values must be finite")
+    if not np.logical_and.reduce(times[1:] > times[:-1]):
+        raise ValueError("times must be strictly increasing")
+    times.flags.writeable = False
+    values.flags.writeable = False
+    return times, values
 
 
 @dataclass(frozen=True)

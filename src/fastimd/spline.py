@@ -25,6 +25,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .series import _checked_samples
+
 __all__ = ["CubicSpline", "build_spline"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -40,25 +42,13 @@ class CubicSpline:
 
     The ends are natural, or flat (clamped to zero slope) when ``flat_ends``
     is true. Evaluation outside the knot span is an error; extend the knot
-    set first if boundary coverage is needed.
+    set first if boundary coverage is needed. Bad knots raise the
+    ValueError a ``TimeSeries`` raises for the same times and values.
     """
 
     def __init__(self, t: ArrayLike, y: ArrayLike, flat_ends: bool = False):
-        t = np.array(t, dtype=np.float64, copy=True)
-        y = np.array(y, dtype=np.float64, copy=True)
-        if t.ndim != 1 or y.ndim != 1 or t.shape != y.shape:
-            raise ValueError("knot times and values must be 1-d and equally long")
-        if len(t) < 2:
-            raise ValueError("a spline needs at least 2 knots")
-        if not (np.logical_and.reduce(np.isfinite(t))
-                and np.logical_and.reduce(np.isfinite(y))):
-            raise ValueError("knots must be finite")
-        if not np.logical_and.reduce(t[1:] > t[:-1]):
-            raise ValueError("knot times must be strictly increasing")
-        t.flags.writeable = False
-        y.flags.writeable = False
-        self.t = t
-        self.y = y
+        t, y = _checked_samples(t, y)
+        self.t, self.y = t, y
         # the moments are solved and kept in a time unit near the mean knot
         # spacing, so the slopes and right-hand side stay in range however
         # the times are scaled; a power of two rescales without rounding
@@ -158,11 +148,8 @@ class CubicSpline:
         return out
 
 
-def build_spline(t: ArrayLike, y: ArrayLike, flat_ends: bool = False) -> CubicSpline:
-    """Construct a cubic spline through knots ``(t, y)``: natural ends, or
-    ends clamped to zero slope when ``flat_ends`` is true.
-    """
-    return CubicSpline(t, y, flat_ends)
+# the public name of the constructor as a function
+build_spline = CubicSpline
 
 
 def _checked_knot_index(times: np.ndarray, t: np.ndarray, knot_index: ArrayLike) -> np.ndarray:

@@ -800,11 +800,24 @@ def test_exit_1_on_bad_usage(tmp_path, capsys):
     assert main(["decompose"]) == 1  # no input source
     assert main(["decompose", "--synth", "two_cosine", "--no-such-flag"]) == 1
     assert main(["filter", "--synth", "two_cosine", "--block-jump", "5"]) == 1
-    assert main(["filter", "--synth", "two_cosine", "--block-jump", "9:3"]) == 1
     capsys.readouterr()
     # only decompose takes --max-modes
     assert main(["filter", "--synth", "two_cosine", "--max-modes", "2"]) == 1
     assert "fastimd: error: unrecognized arguments: --max-modes 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound, error", [
+    # the command line parses the bounds; a usage error, as for any typed option
+    ("a:b", "fastimd filter: error: argument --block-jump: expected numeric lo:hi, got 'a:b'"),
+    # the library checks their order, before any directory is made
+    ("9:3", "fastimd: error: jump-time block [9.0, 3.0) is empty"),
+], ids=["non-numeric", "empty"])
+def test_exit_1_on_bad_block_jump(tmp_path, capsys, bound, error):
+    out = tmp_path / "out"
+    assert main(["filter", "--synth", "two_cosine", "--block-jump", bound,
+                 "--output-dir", str(out)]) == 1
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [error]
+    assert not out.exists()
 
 
 def test_negative_block_jump_needs_the_equals_form(tmp_path, capsys):
@@ -829,13 +842,15 @@ def test_exit_1_on_bad_synth(tmp_path, capsys):
     assert main(["decompose", "--synth", "two_cosine", "--seed", "3",
                  "--output-dir", out]) == 1
     capsys.readouterr()
-    # the library checks the mode count, after the output directory is made
+    # the library checks the mode count, before the output directory is made
     assert main(["decompose", "--synth", "two_cosine", "--max-modes", "0",
                  "--output-dir", out]) == 1
     assert capsys.readouterr().err == "fastimd: error: max_modes must be at least 1\n"
     assert main(["decompose", "--synth", "two_cosine", "--max-iters", "0",
                  "--output-dir", out]) == 1
     capsys.readouterr()
+    # a rejected call writes nothing, not even its output directory
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -870,6 +885,7 @@ def test_exit_1_on_cyclic_extension_of_open_data(tmp_path, capsys, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("fastimd: error: cyclic extension")
+    assert not os.path.exists(out)
     assert main([command, "--synth", "two_cosine", "--extension", "cyclic",
                  "--output-dir", out]) == 0
 
@@ -890,8 +906,9 @@ def test_exit_2_on_io_failure(tmp_path, capsys):
     assert main(["decompose", "--input", str(bad)]) == 2
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    assert main(["decompose", "--synth", "two_cosine",
-                 "--output-dir", str(blocker / "sub")]) == 2
+    for command in ("decompose", "filter"):
+        assert main([command, "--synth", "two_cosine",
+                     "--output-dir", str(blocker / "sub")]) == 2
     capsys.readouterr()
     # the chart path is taken by a directory: the rename fails after the CSVs are written
     for command, chart in (("decompose", "decomposition.svg"), ("filter", "filter.svg")):

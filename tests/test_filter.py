@@ -407,6 +407,29 @@ def test_criteria_rejects_a_pass_count_that_is_not_an_integer(count):
         FilterCriteria(max_passes=count)
 
 
+@pytest.mark.parametrize("floor", ["x", None], ids=["str", "None"])
+def test_criteria_rejects_a_floor_that_is_not_a_number(floor):
+    # it used to fail in '>=' with a TypeError
+    with pytest.raises(ValueError) as err:
+        FilterCriteria(amplitude_floor=floor)
+    assert str(err.value) == f"amplitude_floor must be a nonnegative number, got {floor!r}"
+
+
+@pytest.mark.parametrize("blocks", [((None, 1.0),), (("x", 1.0),), ((1.0,),), (1.0,)],
+                         ids=["None-bound", "str-bound", "one-bound", "not-a-pair"])
+def test_criteria_rejects_blocks_that_are_not_pairs_of_numbers(blocks):
+    with pytest.raises(ValueError) as err:
+        FilterCriteria(jump_time_blocks=blocks)
+    assert str(err.value) == ("jump_time_blocks must hold (lo, hi) pairs of numbers, "
+                              f"got {blocks!r}")
+
+
+def test_criteria_accept_a_zero_floor_and_infinite_bounds():
+    criteria = FilterCriteria(jump_time_blocks=((-np.inf, np.inf),), amplitude_floor=0.0)
+    assert criteria.jump_time_blocks == ((-np.inf, np.inf),)
+    assert criteria.amplitude_floor == 0.0
+
+
 def test_criteria_tolerance_resolution():
     # the filter settles at the first pass that moves no sample by 1e-3 of
     # the input's spread, before the pass cap and while marks remain

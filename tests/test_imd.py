@@ -580,6 +580,21 @@ def test_counts_that_are_not_integers_are_rejected_early(count):
         decompose(two_cosine(), max_modes=count)
 
 
+@pytest.mark.parametrize("tolerance", ["x", "0.5", [0.5]], ids=["str", "numeric-str", "list"])
+def test_tolerance_that_is_not_a_number_is_rejected_early(tolerance):
+    # it used to fail in '>=' with a TypeError
+    with pytest.raises(ValueError) as err:
+        RefinementConfig(delta_tolerance=tolerance)
+    assert str(err.value) == f"delta_tolerance must be a nonnegative number, got {tolerance!r}"
+
+
+def test_tolerance_accepts_none_zero_and_real_types():
+    assert RefinementConfig(delta_tolerance=None).delta_tolerance is None
+    assert RefinementConfig(delta_tolerance=0.0).delta_tolerance == 0.0
+    assert RefinementConfig(delta_tolerance=np.float64(0.5)).delta_tolerance == 0.5
+    assert RefinementConfig(delta_tolerance=1).delta_tolerance == 1
+
+
 def test_counts_accept_integer_types():
     assert RefinementConfig(max_iterations=np.int64(3)) == RefinementConfig(max_iterations=3)
     assert len(decompose(two_cosine(), max_modes=np.int64(1)).modes) == 1

@@ -101,6 +101,11 @@ def test_differentiate_constant_is_zero():
     npt.assert_allclose(differentiate(s).values, 0.0, atol=1e-15)
 
 
+def test_differentiate_needs_three_samples():
+    with pytest.raises(ValueError, match="^differentiate needs at least 3 samples$"):
+        differentiate(TimeSeries([0.0, 1.0], [0.0, 1.0]))
+
+
 def test_differentiate_linear_is_slope():
     t = np.arange(10.0)
     s = TimeSeries(t, 2.0 * t)

@@ -15,7 +15,7 @@ import pytest
 from scipy.interpolate import CubicSpline as SciSpline
 from scipy.linalg import solve_banded
 
-from fastimd import build_spline, spline
+from fastimd import CubicSpline, TimeSeries, build_spline, spline
 from fastimd.spline import (_LEVELS, _RUN_GATHER_MIN, _cyclic_reduction, _moment_system,
                             _padded_length, _reduce, _solve_moments)
 
@@ -564,17 +564,35 @@ def test_wrong_knot_index_raises(knots):
         sp.evaluate_on_grid(x, knot_index=knots(k))
 
 
-def test_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_spline([0.0], [1.0])
-    with pytest.raises(ValueError):
-        build_spline([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        build_spline([1.0, 0.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        build_spline([0.0, 1.0], [np.nan, 2.0])
-    with pytest.raises(ValueError):
-        build_spline([0.0, 1.0, 2.0], [0.0, 1.0])
+@pytest.mark.parametrize("t, y, message", [
+    (np.zeros((2, 2)), np.zeros((2, 2)), "times and values must be one-dimensional"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0], "times (len 3) and values (len 2) differ in length"),
+    ([0.0], [1.0], "a series needs at least 2 samples"),
+    ([0.0, 1.0], [np.nan, 2.0], "times and values must be finite"),
+    ([0.0, 1.0], [1.0, np.inf], "times and values must be finite"),
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], "times must be strictly increasing"),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], "times must be strictly increasing"),
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0], "times and values must be finite"),
+], ids=["2-d", "unequal-lengths", "one-sample", "nan-value", "inf-value", "equal-times",
+        "decreasing-times", "nan-time"])
+def test_bad_knots_raise_what_a_bad_series_raises(t, y, message):
+    # knots are a sampled function, and pass the one rule a series passes
+    with pytest.raises(ValueError) as series_error:
+        TimeSeries(t, y)
+    with pytest.raises(ValueError) as knots_error:
+        build_spline(t, y)
+    assert str(series_error.value) == str(knots_error.value) == message
+
+
+def test_build_spline_is_the_class():
+    assert build_spline is CubicSpline
+    assert isinstance(build_spline([0.0, 1.0], [0.0, 1.0], flat_ends=True), CubicSpline)
+
+
+def test_rejects_a_grid_that_is_not_one_dimensional():
+    sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="^grid must be one-dimensional$"):
+        sp.evaluate_on_grid(np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
