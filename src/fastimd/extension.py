@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import _OVERFLOW_MESSAGE
+from .series import _OVERFLOW_MESSAGE, _checked_number, _checked_samples
 
 __all__ = ["extend", "EXTENSION_KINDS", "EXTENSION_VARIANTS"]
 
@@ -50,21 +50,16 @@ def extend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extend control points ``(t, v)`` by two synthetic points per end.
 
-    Odd extension needs ``start_anchor`` and ``end_anchor`` as the boundary
-    (time, value) pairs to reflect through. Returns the extended pair with
-    the original points unchanged in the middle. Raises ValueError if the
-    synthetic times would not remain strictly increasing, or if a synthetic
-    point is not finite and one of the three outermost points at either end,
-    or an anchor the odd extension uses, is not finite either; and
-    FloatingPointError if a synthetic point reflected from finite ones
-    overflows float64.
+    The control points pass the rule a ``TimeSeries`` passes, and raise its
+    ValueError if they fail it. Odd extension needs ``start_anchor`` and
+    ``end_anchor`` as the boundary (time, value) pairs of numbers to reflect
+    through. Returns the extended pair with the original points unchanged in
+    the middle. Raises ValueError if the synthetic times would not remain
+    strictly increasing, or if a synthetic point is not finite because an
+    odd extension's anchor is not; and FloatingPointError if a synthetic
+    point reflected from finite ones overflows float64.
     """
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
-        raise ValueError("control times and values must be 1-d and equally long")
-    if not np.logical_and.reduce(t[1:] > t[:-1]):
-        raise ValueError("control times must be strictly increasing")
+    t, v = _checked_samples(t, v)
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
     if variant not in EXTENSION_VARIANTS:
@@ -83,8 +78,8 @@ def extend(
             raise ValueError("odd extension needs at least 3 control points")
         if start_anchor is None or end_anchor is None:
             raise ValueError("odd extension needs start_anchor and end_anchor")
-        ts, fs = float(start_anchor[0]), float(start_anchor[1])
-        te, fe = float(end_anchor[0]), float(end_anchor[1])
+        ts, fs = (_checked_number(x, "start_anchor") for x in start_anchor)
+        te, fe = (_checked_number(x, "end_anchor") for x in end_anchor)
         head_t = [ts - (t[1] - ts), ts - (t[0] - ts)]
         head_v = [2.0 * fs - v[1], 2.0 * fs - v[0]]
         tail_t = [te + (te - t[-1]), te + (te - t[-2])]
@@ -93,7 +88,7 @@ def extend(
         if m < 4:
             raise ValueError("cyclic extension needs at least 4 control points")
         scale = max(abs(v[0]), abs(v[-1]), 1.0)
-        if not abs(v[0] - v[-1]) <= _CYCLIC_RTOL * scale:  # NaN ends fail too
+        if not abs(v[0] - v[-1]) <= _CYCLIC_RTOL * scale:
             raise ValueError(
                 "cyclic extension needs equal first and last control values "
                 f"(got {v[0]} and {v[-1]})"
@@ -107,15 +102,14 @@ def extend(
         tail_v = [v[1], v[2]]
 
     # points reflected past the data ends can overflow near the float64
-    # limit, which is reported here instead of by numpy warnings; a point
-    # computed from a non-finite one is bad input, not an overflow
+    # limit, which is reported here instead of by numpy warnings; the control
+    # points are finite, so a point reflected through a non-finite anchor is
+    # bad input, not an overflow
     if not all(map(math.isfinite, (*head_t, *tail_t, *head_v, *tail_v))):
-        used = (*t[:3], *t[-3:], *v[:3], *v[-3:], *((ts, fs, te, fe) if kind == "odd" else ()))
-        if not all(map(math.isfinite, used)):
-            raise ValueError("control points and boundary anchors must be finite")
+        if kind == "odd" and not all(map(math.isfinite, (ts, fs, te, fe))):
+            raise ValueError("odd extension anchors must be finite")
         raise FloatingPointError(_OVERFLOW_MESSAGE)
-    out_t = np.concatenate([head_t, t, tail_t])
-    out_v = np.concatenate([head_v, v, tail_v])
-    if not np.logical_and.reduce(out_t[1:] > out_t[:-1]):
+    # the control times increase, so only the junctions can be out of order
+    if not (head_t[0] < head_t[1] < t[0] and t[-1] < tail_t[0] < tail_t[1]):
         raise ValueError("extension produced non-increasing times")
-    return out_t, out_v
+    return np.concatenate([head_t, t, tail_t]), np.concatenate([head_v, v, tail_v])

@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .imd import (RefinementConfig, _check_count, _check_nonnegative, _chord_midpoints,
-                  extract_mode)
-from .series import Extrema, TimeSeries, _overflow_checked, find_extrema
+from .imd import RefinementConfig, _chord_midpoints, extract_mode
+from .series import Extrema, TimeSeries, _checked_number, _overflow_checked, find_extrema
 from .spline import build_spline
 
 __all__ = [
@@ -48,7 +47,9 @@ class FilterCriteria:
 
     def __post_init__(self) -> None:
         try:
-            blocks = tuple((float(lo), float(hi)) for lo, hi in self.jump_time_blocks)
+            blocks = tuple((_checked_number(lo, "jump_time_blocks"),
+                            _checked_number(hi, "jump_time_blocks"))
+                           for lo, hi in self.jump_time_blocks)
         except (TypeError, ValueError):
             raise ValueError("jump_time_blocks must hold (lo, hi) pairs of numbers, "
                              f"got {self.jump_time_blocks!r}") from None
@@ -56,8 +57,8 @@ class FilterCriteria:
             if not lo < hi:
                 raise ValueError(f"jump-time block [{lo}, {hi}) is empty")
         object.__setattr__(self, "jump_time_blocks", blocks)
-        _check_nonnegative(self.amplitude_floor, "amplitude_floor")
-        _check_count(self.max_passes, "max_passes")
+        _checked_number(self.amplitude_floor, "amplitude_floor", "nonnegative")
+        _checked_number(self.max_passes, "max_passes", "positive", integer=True)
 
 
 @dataclass(frozen=True)

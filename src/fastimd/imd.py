@@ -13,15 +13,14 @@ derivative of what remains has fewer than three extrema.
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .extension import EXTENSION_KINDS, extend
-from .series import TimeSeries, _overflow_checked, differentiate, find_extrema
+from .series import (TimeSeries, _checked_number, _overflow_checked, differentiate,
+                     find_extrema)
 from .spline import _time_unit, build_spline
 
 __all__ = [
@@ -38,22 +37,6 @@ __all__ = [
 INITIALIZATIONS = ("derivative", "data_function")
 
 _NOISE_FLOOR = 1e-12
-
-
-def _check_count(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is an integer of at least 1."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-
-
-def _check_nonnegative(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is a real number of at least 0."""
-    if not (isinstance(value, numbers.Real) and value >= 0.0):
-        raise ValueError(f"{name} must be a nonnegative number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +56,9 @@ class RefinementConfig:
     initialization: str = "derivative"
 
     def __post_init__(self) -> None:
-        _check_count(self.max_iterations, "max_iterations")
+        _checked_number(self.max_iterations, "max_iterations", "positive", integer=True)
         if self.delta_tolerance is not None:
-            _check_nonnegative(self.delta_tolerance, "delta_tolerance")
+            _checked_number(self.delta_tolerance, "delta_tolerance", "nonnegative")
         if self.extension not in EXTENSION_KINDS:
             raise ValueError(f"unknown extension kind {self.extension!r}")
         if self.initialization not in INITIALIZATIONS:
@@ -317,7 +300,7 @@ def decompose(
     every component with the final residue reproduces the input to
     round-off.
     """
-    _check_count(max_modes, "max_modes")
+    _checked_number(max_modes, "max_modes", "positive", integer=True)
     reference = data.spread
     modes: list[ModeComponent] = []
     current = data

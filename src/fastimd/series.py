@@ -7,6 +7,8 @@ Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +91,14 @@ def _checked_samples(times, values) -> tuple[np.ndarray, np.ndarray]:
     shown to sample a function: one-dimensional, equally long, at least 2
     samples, finite, with strictly increasing times. ValueError otherwise.
 
-    A series and a spline's knots both pass this one rule.
+    A series, a spline's knots and extended control points all pass this
+    one rule.
     """
-    times = np.array(times, dtype=np.float64, copy=True)
-    values = np.array(values, dtype=np.float64, copy=True)
+    try:
+        times = np.array(times, dtype=np.float64, copy=True)
+        values = np.array(values, dtype=np.float64, copy=True)
+    except (TypeError, ValueError):  # complex, text that is not a number, ragged nesting
+        raise ValueError("times and values must be real numbers") from None
     if times.ndim != 1 or values.ndim != 1:
         raise ValueError("times and values must be one-dimensional")
     if times.shape != values.shape:
@@ -109,6 +115,29 @@ def _checked_samples(times, values) -> tuple[np.ndarray, np.ndarray]:
     times.flags.writeable = False
     values.flags.writeable = False
     return times, values
+
+
+def _checked_number(value, name: str, sign: str = "real", *, integer: bool = False):
+    """``value`` as a Python int when ``integer``, else as a float, once it
+    is shown to be a real number (an integer when ``integer``, as
+    ``operator.index`` takes it) of the given ``sign``: "positive" (above
+    0), "nonnegative" (at least 0), or "real" (any, NaN and infinities too).
+    ValueError naming ``name`` otherwise; a numeric string is not a number.
+
+    Every scalar parameter of the library passes this one rule.
+    """
+    if integer:
+        try:
+            number = operator.index(value)
+        except TypeError:
+            number = None
+    else:
+        number = float(value) if isinstance(value, numbers.Real) else None
+    if number is None or not (sign == "real" or number > 0
+                              or (number == 0 and sign == "nonnegative")):
+        kind = "integer" if integer else "number"
+        raise ValueError(f"{name} must be a {sign} {kind}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

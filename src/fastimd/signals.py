@@ -1,7 +1,10 @@
 """Deterministic synthetic test signals.
 
 Every generator is a pure function of its parameters; the random walk is
-fully determined by its seed.
+fully determined by its seed. Every parameter passes the library's number
+rule, so one that is not a number (a numeric string among them) or is out of
+range raises ValueError naming it. ``span`` and ``step`` must be positive
+numbers with a finite ratio.
 """
 
 from __future__ import annotations
@@ -10,18 +13,16 @@ import math
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, _checked_number
 
 __all__ = ["two_cosine", "sinusoid", "random_walk", "riding_wave", "synth", "SYNTH_KINDS"]
 
 
 def _grid(span: float, step: float) -> np.ndarray:
-    # Python floats divide to inf where numpy scalars would warn
-    span, step = float(span), float(step)
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    if not span > 0.0:
-        raise ValueError("span must be positive")
+    # the number rule returns Python floats, which divide to inf where numpy
+    # scalars would warn
+    step = _checked_number(step, "step", "positive")
+    span = _checked_number(span, "span", "positive")
     count = span / step
     if not (math.isfinite(span) and math.isfinite(step) and math.isfinite(count)):
         raise ValueError(f"span {span!r}, step {step!r} and their ratio must be finite")
@@ -45,9 +46,10 @@ def sinusoid(
     step: float = 1.0,
     phase: float = 0.0,
 ) -> TimeSeries:
-    """A cos(2 pi t / period + phase) on a uniform grid."""
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    """A cos(2 pi t / period + phase) on a uniform grid; ``period`` must
+    be a positive number."""
+    amplitude, phase = _checked_number(amplitude, "amplitude"), _checked_number(phase, "phase")
+    period = _checked_number(period, "period", "positive")
     t = _grid(span, step)
     # arguments that overflow or are not finite give non-finite values, which
     # the series rejects with one ValueError and no numpy warning
@@ -57,7 +59,9 @@ def sinusoid(
 
 
 def random_walk(seed: int = 0, span: float = 1999.0, step: float = 1.0) -> TimeSeries:
-    """Cumulative sum of standard normal increments; bit-identical per seed."""
+    """Cumulative sum of standard normal increments; bit-identical per seed,
+    which must be a nonnegative integer."""
+    seed = _checked_number(seed, "seed", "nonnegative", integer=True)
     t = _grid(span, step)
     rng = np.random.default_rng(seed)
     return TimeSeries(t, np.cumsum(rng.standard_normal(len(t))))

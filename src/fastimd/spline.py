@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .series import _checked_samples
+from .series import _checked_number, _checked_samples
 
 __all__ = ["CubicSpline", "build_spline"]
 
@@ -56,8 +56,9 @@ class CubicSpline:
         self._m = _solve_moments(t / self._unit, y, flat_ends)
 
     def evaluate(self, x: float) -> float:
-        """Value of the interpolant at one point inside the knot span."""
-        return float(self.evaluate_on_grid([float(x)])[0])
+        """Value of the interpolant at one point inside the knot span; ``x``
+        must be a real number."""
+        return float(self.evaluate_on_grid([_checked_number(x, "x")])[0])
 
     def evaluate_on_grid(
         self, times: ArrayLike, *, knot_index: Optional[ArrayLike] = None

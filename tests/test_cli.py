@@ -845,7 +845,8 @@ def test_exit_1_on_bad_synth(tmp_path, capsys):
     # the library checks the mode count, before the output directory is made
     assert main(["decompose", "--synth", "two_cosine", "--max-modes", "0",
                  "--output-dir", out]) == 1
-    assert capsys.readouterr().err == "fastimd: error: max_modes must be at least 1\n"
+    assert capsys.readouterr().err == (
+        "fastimd: error: max_modes must be a positive integer, got 0\n")
     assert main(["decompose", "--synth", "two_cosine", "--max-iters", "0",
                  "--output-dir", out]) == 1
     capsys.readouterr()
@@ -875,6 +876,13 @@ def test_exit_1_on_non_finite_argument(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("fastimd: error:")
+
+
+def test_exit_1_names_a_nan_period(tmp_path, capsys):
+    # the period is checked by the number rule, not found later in the values
+    assert main(["decompose", "--synth", "sinusoid", "--period", "nan",
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "fastimd: error: period must be a positive number, got nan\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "filter"])

@@ -170,10 +170,14 @@ def test_rejects_nonsense():
 
 
 @pytest.mark.parametrize("kind", ["even", "odd", "cyclic"])
-@pytest.mark.parametrize("t", [[0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 1.0, 3.0],
-                               [0.0, 2.0, 1.0, 3.0]], ids=["nan", "equal", "decreasing"])
-def test_unordered_control_times_raise(t, kind):
-    with pytest.raises(ValueError, match="strictly increasing"):
+@pytest.mark.parametrize("t, message", [
+    ([0.0, 1.0, np.nan, 3.0], "^times and values must be finite$"),
+    ([0.0, 1.0, 1.0, 3.0], "^times must be strictly increasing$"),
+    ([0.0, 2.0, 1.0, 3.0], "^times must be strictly increasing$"),
+], ids=["nan", "equal", "decreasing"])
+def test_unordered_control_times_raise(t, message, kind):
+    # control points pass the series rule, and raise its messages
+    with pytest.raises(ValueError, match=message):
         extend(np.array(t), np.array([1.0, 0.0, 2.0, 1.0]), kind,
                start_anchor=(-1.0, 0.0), end_anchor=(4.0, 0.0))
 
@@ -235,9 +239,15 @@ def test_non_finite_control_points_are_bad_input(t, v, kind, anchors):
         extend(t, v, kind, **anchors)
 
 
+def test_interior_non_finite_control_point_raises():
+    # not only the points near the ends: every control point is checked
+    with pytest.raises(ValueError, match="^times and values must be finite$"):
+        extend(np.arange(8.0), [0.0, 1.0, 0.0, np.nan, 0.0, 1.0, 0.0, 1.0], "even")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("end", [np.nan, np.inf])
 def test_cyclic_extension_rejects_non_finite_ends(end):
-    # equal ends are checked so that NaN and infinite ends fail too
-    with pytest.raises(ValueError, match="equal first and last"):
+    # the series rule rejects NaN and infinite ends before the equal-ends check
+    with pytest.raises(ValueError, match="^times and values must be finite$"):
         extend([0.0, 1.0, 2.0, 3.0], [end, 1.0, 2.0, end], "cyclic")

@@ -403,7 +403,7 @@ def test_criteria_validation():
                          ids=["2.5", "3.0", "float64", "str", "None"])
 def test_criteria_rejects_a_pass_count_that_is_not_an_integer(count):
     # a float used to pass the check and fail later inside range()
-    with pytest.raises(ValueError, match="max_passes must be an integer"):
+    with pytest.raises(ValueError, match="^max_passes must be a positive integer, got "):
         FilterCriteria(max_passes=count)
 
 

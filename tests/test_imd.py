@@ -14,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import fastimd.imd
 from fastimd import (
     FilterCriteria,
     ModeComponent,
@@ -421,6 +422,22 @@ def test_decompose_too_short_to_differentiate():
     npt.assert_array_equal(r.final_residue.values, s.values)
 
 
+def test_component_under_the_noise_floor_is_not_a_mode(monkeypatch):
+    # noise of 1e-12 on a line gives extrema to refine, but the refined
+    # component is round-off next to the line's spread
+    t = np.arange(200.0)
+    data = TimeSeries(t, t + 1e-12 * np.random.default_rng(0).standard_normal(200))
+    cfg = RefinementConfig(extension="odd")
+    passes = []
+    monkeypatch.setattr(fastimd.imd, "refine_once",
+                        lambda *args: passes.append(args) or refine_once(*args))
+    assert extract_mode(data, cfg) is None
+    assert len(passes) == 2
+    result = decompose(data, cfg)
+    assert result.modes == ()
+    assert result.final_residue is data
+
+
 @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e250, 1e290])
 def test_decompose_mode_count_is_scale_free(scale):
     # turning-direction products underflow or overflow at these scales;
@@ -574,9 +591,9 @@ def test_config_rejects_bad_fields():
 def test_counts_that_are_not_integers_are_rejected_early(count):
     # a float used to pass the check and fail later inside range(), or,
     # as max_modes, to allow one mode more than asked for
-    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+    with pytest.raises(ValueError, match="^max_iterations must be a positive integer, got "):
         RefinementConfig(max_iterations=count)
-    with pytest.raises(ValueError, match="max_modes must be an integer"):
+    with pytest.raises(ValueError, match="^max_modes must be a positive integer, got "):
         decompose(two_cosine(), max_modes=count)
 
 

@@ -19,14 +19,20 @@ from hypothesis import strategies as st
 
 from fastimd import (
     Extremum,
+    FilterCriteria,
     ImfReport,
+    RefinementConfig,
     TimeSeries,
+    build_spline,
     decompose,
     differentiate,
+    extend,
     find_extrema,
     imf_report,
     initial_residue,
     random_walk,
+    riding_wave,
+    sinusoid,
     two_cosine,
 )
 
@@ -90,6 +96,63 @@ def test_series_copies_are_independent():
     s = TimeSeries(t, v)
     v[0] = 99.0
     assert s.values[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the number rule
+# ---------------------------------------------------------------------------
+
+def _odd(start=(-1.0, 0.0), end=(3.0, 0.0)):
+    return extend([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], "odd", start_anchor=start, end_anchor=end)
+
+
+# every scalar parameter of the library, each with a call that sets it alone
+SCALAR_PARAMETERS = {
+    "RefinementConfig.max_iterations": lambda x: RefinementConfig(max_iterations=x),
+    "RefinementConfig.delta_tolerance": lambda x: RefinementConfig(delta_tolerance=x),
+    "decompose.max_modes": lambda x: decompose(two_cosine(), max_modes=x),
+    "FilterCriteria.jump_time_blocks-lo": lambda x: FilterCriteria(jump_time_blocks=((x, 20),)),
+    "FilterCriteria.jump_time_blocks-hi": lambda x: FilterCriteria(jump_time_blocks=((0, x),)),
+    "FilterCriteria.amplitude_floor": lambda x: FilterCriteria(amplitude_floor=x),
+    "FilterCriteria.max_passes": lambda x: FilterCriteria(max_passes=x),
+    "extend.start_anchor-time": lambda x: _odd(start=(x, 0.0)),
+    "extend.start_anchor-value": lambda x: _odd(start=(-1.0, x)),
+    "extend.end_anchor-time": lambda x: _odd(end=(x, 0.0)),
+    "extend.end_anchor-value": lambda x: _odd(end=(3.0, x)),
+    "CubicSpline.evaluate.x": lambda x: build_spline([0.0, 2.0], [0.0, 1.0]).evaluate(x),
+    "two_cosine.span": lambda x: two_cosine(span=x),
+    "two_cosine.step": lambda x: two_cosine(step=x),
+    "sinusoid.amplitude": lambda x: sinusoid(amplitude=x),
+    "sinusoid.period": lambda x: sinusoid(period=x),
+    "sinusoid.span": lambda x: sinusoid(span=x),
+    "sinusoid.step": lambda x: sinusoid(step=x),
+    "sinusoid.phase": lambda x: sinusoid(phase=x),
+    "random_walk.seed": lambda x: random_walk(seed=x),
+    "random_walk.span": lambda x: random_walk(span=x),
+    "random_walk.step": lambda x: random_walk(step=x),
+    "riding_wave.span": lambda x: riding_wave(span=x),
+    "riding_wave.step": lambda x: riding_wave(step=x),
+}
+
+
+@pytest.mark.parametrize("parameter", SCALAR_PARAMETERS)
+def test_every_scalar_parameter_rejects_a_numeric_string(parameter):
+    # a number given as text is refused by name, never converted
+    name = parameter.split(".")[-1].split("-")[0]
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        SCALAR_PARAMETERS[parameter]("1")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_walk(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+    (lambda: random_walk(seed=-1), "seed must be a nonnegative integer, got -1"),
+    (lambda: sinusoid(period=float("nan")), "period must be a positive number, got nan"),
+    (lambda: sinusoid(amplitude=None), "amplitude must be a real number, got None"),
+], ids=["fractional-seed", "negative-seed", "nan-period", "None-amplitude"])
+def test_the_number_rule_names_the_parameter_and_its_sign(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

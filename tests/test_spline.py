@@ -573,8 +573,9 @@ def test_wrong_knot_index_raises(knots):
     ([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], "times must be strictly increasing"),
     ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], "times must be strictly increasing"),
     ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0], "times and values must be finite"),
+    ([0.0, 1.0], [1 + 0j, 2.0], "times and values must be real numbers"),
 ], ids=["2-d", "unequal-lengths", "one-sample", "nan-value", "inf-value", "equal-times",
-        "decreasing-times", "nan-time"])
+        "decreasing-times", "nan-time", "complex-value"])
 def test_bad_knots_raise_what_a_bad_series_raises(t, y, message):
     # knots are a sampled function, and pass the one rule a series passes
     with pytest.raises(ValueError) as series_error:

@@ -10,7 +10,9 @@ so a change that grows or shrinks either surface has to edit the pin on
 purpose. The benchmark's output check must fail a decomposition that returns
 a wrong component, rather than only one that raises. Every public record
 type must compare with ``==`` and hash: a dataclass that compares array
-fields by value raises on both.
+fields by value raises on both. The library raises only the three error
+types ``cli.main`` maps to exit codes, so no other reaches a user as a
+traceback.
 """
 
 import argparse
@@ -46,6 +48,12 @@ CLI_FLAGS = {
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("tests", "perfbench")
+
+# cli.main maps these to exit codes 1, 3 and 2
+EXIT_CODE_ERRORS = {"ValueError", "FloatingPointError", "OSError"}
+# argparse's own protocol in cli.py, and the exit status the entry points pass on
+PLUMBING = {"cli.py": {"SystemExit", "argparse.ArgumentTypeError"},
+            "__main__.py": {"SystemExit"}}
 
 
 def _dotted(node) -> str:
@@ -157,6 +165,39 @@ def test_the_cli_flags_are_pinned():
     flags = {name: sorted(flag for action in sub._actions for flag in action.option_strings)
              for name, sub in commands.choices.items()}
     assert flags == CLI_FLAGS
+
+
+def raises_outside(source: str, allowed: set) -> list[str]:
+    """``line: type`` for every ``raise`` in ``source`` of a type not in
+    ``allowed``; a bare re-raise passes."""
+    return [f"{node.lineno}: {_dotted(node.exc)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and _dotted(node.exc) not in allowed]
+
+
+def test_the_library_raises_only_what_main_maps_to_exit_codes():
+    package = os.path.join(ROOT, "src", "fastimd")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                allowed = EXIT_CODE_ERRORS | PLUMBING.get(name, set())
+                found += [f"{name}:{where}" for where in raises_outside(fh.read(), allowed)]
+    assert found == []
+
+
+def test_the_raise_check_finds_other_types():
+    source = """
+try:
+    pass
+except KeyError as exc:
+    raise
+    raise ValueError("bad") from exc
+raise FloatingPointError
+raise TypeError("bad")
+raise np.linalg.LinAlgError("bad")
+"""
+    assert raises_outside(source, EXIT_CODE_ERRORS) == ["8: TypeError", "9: np.linalg.LinAlgError"]
 
 
 def test_benchmark_check_fails_a_wrong_component(tmp_path, monkeypatch):
