@@ -142,7 +142,6 @@ def run_decompose(args: argparse.Namespace) -> None:
         # derived on each access: read it once, keep it past this mode only for the chart
         imf = mode.imf
         write_csv(imf, os.path.join(args.output_dir, f"imf_{k}.csv"))
-        write_csv(mode.residue, os.path.join(args.output_dir, f"residue_{k}.csv"))
         lines.append(format_mode_line(k, len(find_extrema(imf)),
                                       (imf.values.min(), imf.values.max()),
                                       mode.iterations, mode.final_delta, mode.delta_time))

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import _OVERFLOW_MESSAGE, _checked_number, _checked_samples
+from .series import _OVERFLOW_MESSAGE, _checked_pair, _checked_samples
 
 __all__ = ["extend", "EXTENSION_KINDS", "EXTENSION_VARIANTS"]
 
@@ -53,8 +53,9 @@ def extend(
     The control points pass the rule a ``TimeSeries`` passes, and raise its
     ValueError if they fail it. Odd extension needs ``start_anchor`` and
     ``end_anchor`` as the boundary (time, value) pairs of numbers to reflect
-    through. Returns the extended pair with the original points unchanged in
-    the middle. Raises ValueError if the synthetic times would not remain
+    through, and raises ValueError naming an anchor that is not one. Returns
+    the extended pair with the original points unchanged in the middle.
+    Raises ValueError if the synthetic times would not remain
     strictly increasing, or if a synthetic point is not finite because an
     odd extension's anchor is not; and FloatingPointError if a synthetic
     point reflected from finite ones overflows float64.
@@ -76,10 +77,8 @@ def extend(
     elif kind == "odd":
         if m < 3:
             raise ValueError("odd extension needs at least 3 control points")
-        if start_anchor is None or end_anchor is None:
-            raise ValueError("odd extension needs start_anchor and end_anchor")
-        ts, fs = (_checked_number(x, "start_anchor") for x in start_anchor)
-        te, fe = (_checked_number(x, "end_anchor") for x in end_anchor)
+        ts, fs = _checked_pair(start_anchor, "start_anchor")
+        te, fe = _checked_pair(end_anchor, "end_anchor")
         head_t = [ts - (t[1] - ts), ts - (t[0] - ts)]
         head_v = [2.0 * fs - v[1], 2.0 * fs - v[0]]
         tail_t = [te + (te - t[-1]), te + (te - t[-2])]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .imd import RefinementConfig, _chord_midpoints, extract_mode
-from .series import Extrema, TimeSeries, _checked_number, _overflow_checked, find_extrema
+from .series import (Extrema, TimeSeries, _checked_number, _checked_pair, _overflow_checked,
+                     find_extrema)
 from .spline import build_spline
 
 __all__ = [
@@ -46,13 +47,8 @@ class FilterCriteria:
     max_passes: int = 8
 
     def __post_init__(self) -> None:
-        try:
-            blocks = tuple((_checked_number(lo, "jump_time_blocks"),
-                            _checked_number(hi, "jump_time_blocks"))
-                           for lo, hi in self.jump_time_blocks)
-        except (TypeError, ValueError):
-            raise ValueError("jump_time_blocks must hold (lo, hi) pairs of numbers, "
-                             f"got {self.jump_time_blocks!r}") from None
+        blocks = tuple(_checked_pair(block, "jump_time_blocks")
+                       for block in self.jump_time_blocks)
         for lo, hi in blocks:
             if not lo < hi:
                 raise ValueError(f"jump-time block [{lo}, {hi}) is empty")

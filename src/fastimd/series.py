@@ -55,16 +55,10 @@ class TimeSeries:
         """A new series on the same grid, from the caller's values.
 
         The new series shares this one's read-only ``times``, which are
-        already validated; only the values are copied and checked.
+        already validated; only the values are copied, and they pass
+        ``_checked_values``.
         """
-        values = np.array(values, dtype=np.float64, copy=True)
-        if values.shape != self.times.shape:
-            raise ValueError(
-                f"values of shape {values.shape} do not fit a grid of {len(self.times)} samples"
-            )
-        if not np.logical_and.reduce(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        return self._with_fresh_values(values)
+        return self._with_fresh_values(_checked_values(values, len(self.times)))
 
     def _minus(self, values: np.ndarray) -> "TimeSeries":
         """This series minus ``values``; FloatingPointError if it overflows float64."""
@@ -88,33 +82,57 @@ class TimeSeries:
 
 def _checked_samples(times, values) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float64 copies of ``times`` and ``values``, once they are
-    shown to sample a function: one-dimensional, equally long, at least 2
-    samples, finite, with strictly increasing times. ValueError otherwise.
+    shown to sample a function: both pass ``_checked_values``, equally long,
+    with at least 2 samples and strictly increasing times. ValueError
+    otherwise.
 
     A series, a spline's knots and extended control points all pass this
     one rule.
     """
-    try:
-        times = np.array(times, dtype=np.float64, copy=True)
-        values = np.array(values, dtype=np.float64, copy=True)
-    except (TypeError, ValueError):  # complex, text that is not a number, ragged nesting
-        raise ValueError("times and values must be real numbers") from None
-    if times.ndim != 1 or values.ndim != 1:
-        raise ValueError("times and values must be one-dimensional")
-    if times.shape != values.shape:
-        raise ValueError(
-            f"times (len {len(times)}) and values (len {len(values)}) differ in length"
-        )
+    times = _checked_values(times)
     if len(times) < 2:
         raise ValueError("a series needs at least 2 samples")
-    if not (np.logical_and.reduce(np.isfinite(times))
-            and np.logical_and.reduce(np.isfinite(values))):
-        raise ValueError("times and values must be finite")
     if not np.logical_and.reduce(times[1:] > times[:-1]):
         raise ValueError("times must be strictly increasing")
-    times.flags.writeable = False
+    return times, _checked_values(values, len(times))
+
+
+def _checked_values(values, length: int | None = None) -> np.ndarray:
+    """A read-only float64 copy of ``values``, once it is shown to hold
+    real, finite numbers in one dimension, ``length`` of them when given.
+    ValueError otherwise.
+
+    The series rule's checks on one array: the times of a series and the
+    values of one on a validated grid each pass them once.
+    """
+    try:
+        array = np.asarray(values)
+        # numpy casts a complex array to float64 with only a warning, dropping
+        # the imaginary part; the dtype shows it without a pass over the data
+        values = None if array.dtype.kind == "c" else array.astype(np.float64)
+    except (TypeError, ValueError):  # text that is not a number, ragged nesting
+        values = None
+    if values is None:
+        raise ValueError("times and values must be real numbers")
+    if values.ndim != 1:
+        raise ValueError("times and values must be one-dimensional")
+    if length is not None and len(values) != length:
+        raise ValueError(f"times (len {length}) and values (len {len(values)}) differ in length")
+    if not np.logical_and.reduce(np.isfinite(values)):
+        raise ValueError("times and values must be finite")
     values.flags.writeable = False
-    return times, values
+    return values
+
+
+def _checked_pair(value, name: str) -> tuple[float, float]:
+    """``value`` as a pair of floats, once it is shown to be a tuple or list
+    of two items, or an array of shape (2,), whose items each pass the
+    number rule. ValueError naming ``name`` otherwise.
+    """
+    pair = isinstance(value, (tuple, list)) and len(value) == 2
+    if not (pair or isinstance(value, np.ndarray) and value.shape == (2,)):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+    return _checked_number(value[0], name), _checked_number(value[1], name)
 
 
 def _checked_number(value, name: str, sign: str = "real", *, integer: bool = False):
@@ -190,7 +208,9 @@ def differentiate(s: TimeSeries) -> TimeSeries:
     """First derivative sampled on the same grid.
 
     Central differences at interior samples, one-sided differences at the two
-    ends. Exact for linear data; second-order accurate on smooth data.
+    ends. Exact for linear data. On smooth data the interior error is second
+    order on an evenly spaced grid, but first order on an uneven one: for
+    v = t**2 it is h_right - h_left, the difference of the two gaps.
     Raises FloatingPointError when a difference quotient overflows float64.
     """
     if len(s) < 3:

@@ -368,7 +368,6 @@ def test_cli_csv_files_match_per_row_reference(tmp_path, capsys, source):
     want = {"final_residue.csv": result.final_residue}
     for k, mode in enumerate(result.modes, start=1):
         want[f"imf_{k}.csv"] = mode.imf
-        want[f"residue_{k}.csv"] = mode.residue
     assert sorted(p.name for p in (out / "d").iterdir()) == sorted(want)
     assert main(["filter", *argv, "--block-jump", "0:20", "--output-dir", str(out / "f")]) == 0
     filtered = filter_series(data, FilterCriteria(jump_time_blocks=((0.0, 20.0),)), cfg)
@@ -508,15 +507,34 @@ def test_decompose_synth(tmp_path, capsys):
     assert len(lines) == 2
     for line in lines:
         assert MODE_LINE.match(line)
-    for name in ("imf_1.csv", "residue_1.csv", "imf_2.csv", "residue_2.csv",
-                 "final_residue.csv"):
-        assert (out / name).exists()
+    # one file per series: a level's residue is the final residue plus the
+    # slower components, so it is not written
+    assert sorted(p.name for p in out.iterdir()) == ["final_residue.csv", "imf_1.csv",
+                                                      "imf_2.csv"]
     # written components telescope back to the generated input
     s = two_cosine()
     total = read_csv(str(out / "final_residue.csv")).values.copy()
     total += read_csv(str(out / "imf_1.csv")).values
     total += read_csv(str(out / "imf_2.csv")).values
     npt.assert_allclose(total, s.values, atol=1e-9)
+
+
+def test_decompose_files_rebuild_every_level_residue(tmp_path, capsys):
+    # the residue_k.csv files the CLI no longer writes held nothing new: each
+    # level's residue is the final residue plus the components after it
+    out = tmp_path / "out"
+    assert main(["decompose", "--synth", "random_walk", "--seed", "3", "--span", "1999",
+                 "--output-dir", str(out)]) == 0
+    data = random_walk(seed=3, span=1999)
+    result = decompose(data)
+    assert len(result.modes) >= 3
+    assert len(capsys.readouterr().out.splitlines()) == len(result.modes)
+    imfs = [read_csv(str(out / f"imf_{k}.csv")) for k in range(1, len(result.modes) + 1)]
+    residue = read_csv(str(out / "final_residue.csv")).values.copy()
+    for mode, imf in zip(reversed(result.modes), reversed(imfs)):
+        npt.assert_allclose(residue, mode.residue.values, rtol=0, atol=1e-9 * data.spread)
+        residue += imf.values
+    npt.assert_allclose(residue, data.values, rtol=0, atol=1e-9 * data.spread)
 
 
 def test_decompose_csv_input(tmp_path, capsys):

@@ -75,6 +75,32 @@ def test_odd_needs_anchors():
         extend(t, v, "odd", start_anchor=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("anchors, message", [
+    ({"start_anchor": -1.0}, "start_anchor must be a pair of numbers, got -1.0"),
+    ({"start_anchor": (-1.0, 0.0, 1.0)},
+     "start_anchor must be a pair of numbers, got (-1.0, 0.0, 1.0)"),
+    ({"start_anchor": None}, "start_anchor must be a pair of numbers, got None"),
+    ({"end_anchor": [3.0]}, "end_anchor must be a pair of numbers, got [3.0]"),
+    ({"end_anchor": np.array(3.0)}, "end_anchor must be a pair of numbers, got array(3.)"),
+    ({"end_anchor": np.zeros((1, 2))},
+     "end_anchor must be a pair of numbers, got array([[0., 0.]])"),
+    ({"end_anchor": (3.0, "0")}, "end_anchor must be a real number, got '0'"),
+], ids=["number", "triple", "missing", "one-item", "0-d-array", "2-d-array", "text"])
+def test_odd_anchors_that_are_not_pairs_are_named(anchors, message):
+    # the anchors pass the pair check FilterCriteria's jump-time blocks pass
+    t, v = [0.0, 1.0, 2.0], [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError) as err:
+        extend(t, v, "odd", **{"start_anchor": (-1.0, 0.0), "end_anchor": (3.0, 0.0), **anchors})
+    assert str(err.value) == message
+
+
+def test_odd_anchors_may_be_lists_or_arrays():
+    t, v = [0.0, 1.0, 2.0], [0.0, 1.0, 0.0]
+    want = extend(t, v, "odd", start_anchor=(-1.0, 0.0), end_anchor=(3.0, 0.0))
+    got = extend(t, v, "odd", start_anchor=[-1.0, 0.0], end_anchor=np.array([3.0, 0.0]))
+    npt.assert_array_equal(got, want)
+
+
 def test_odd_anchor_on_first_point_collides():
     t = np.array([0.0, 1.0, 2.0])
     v = np.array([0.0, 1.0, 0.0])

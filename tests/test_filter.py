@@ -415,13 +415,18 @@ def test_criteria_rejects_a_floor_that_is_not_a_number(floor):
     assert str(err.value) == f"amplitude_floor must be a nonnegative number, got {floor!r}"
 
 
-@pytest.mark.parametrize("blocks", [((None, 1.0),), (("x", 1.0),), ((1.0,),), (1.0,)],
-                         ids=["None-bound", "str-bound", "one-bound", "not-a-pair"])
-def test_criteria_rejects_blocks_that_are_not_pairs_of_numbers(blocks):
+@pytest.mark.parametrize("blocks, message", [
+    (((None, 1.0),), "jump_time_blocks must be a real number, got None"),
+    ((("x", 1.0),), "jump_time_blocks must be a real number, got 'x'"),
+    (((1.0,),), "jump_time_blocks must be a pair of numbers, got (1.0,)"),
+    (((0.0, 1.0, 2.0),), "jump_time_blocks must be a pair of numbers, got (0.0, 1.0, 2.0)"),
+    ((1.0,), "jump_time_blocks must be a pair of numbers, got 1.0"),
+], ids=["None-bound", "str-bound", "one-bound", "three-bounds", "not-a-pair"])
+def test_criteria_rejects_blocks_that_are_not_pairs_of_numbers(blocks, message):
+    # each block passes the pair check that extend's odd anchors pass
     with pytest.raises(ValueError) as err:
         FilterCriteria(jump_time_blocks=blocks)
-    assert str(err.value) == ("jump_time_blocks must hold (lo, hi) pairs of numbers, "
-                              f"got {blocks!r}")
+    assert str(err.value) == message
 
 
 def test_criteria_accept_a_zero_floor_and_infinite_bounds():

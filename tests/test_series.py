@@ -84,10 +84,39 @@ def test_with_values_shares_the_grid():
     v[0] = 99.0  # the values are copied
     assert r.values[0] == 0.0
     assert not r.values.flags.writeable
-    for bad in (np.zeros(4), np.zeros((5, 1)), [0.0, np.nan, 0.0, 0.0, 0.0],
-                [0.0, 0.0, np.inf, 0.0, 0.0]):
-        with pytest.raises(ValueError):
-            s.with_values(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, message", [
+    ([1 + 0j, 2.0, 0.0, 0.0, 0.0], "times and values must be real numbers"),
+    (np.array([1 + 2j, 2.0, 0.0, 0.0, 0.0]), "times and values must be real numbers"),
+    (["a", "b", "c", "d", "e"], "times and values must be real numbers"),
+    (np.zeros(4), "times (len 5) and values (len 4) differ in length"),
+    (np.zeros((5, 1)), "times and values must be one-dimensional"),
+    ([0.0, np.nan, 0.0, 0.0, 0.0], "times and values must be finite"),
+    ([0.0, 0.0, np.inf, 0.0, 0.0], "times and values must be finite"),
+], ids=["complex-list", "complex-array", "text", "short", "2-d", "nan", "inf"])
+def test_with_values_raises_what_a_bad_series_raises(values, message):
+    # new values on a validated grid pass the series rule's checks on values
+    s = TimeSeries(np.arange(5.0), np.zeros(5))
+    with pytest.raises(ValueError) as err:
+        s.with_values(values)
+    assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t, v", [
+    (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1 + 2j, 0.0])),
+    (np.array([0.0, 1.0, 2.0]) + 0j, np.array([0.0, 1.0, 0.0])),
+    ([0.0, 1.0, 2.0], [0.0, np.complex128(1 + 2j), 0.0]),
+], ids=["complex-values", "complex-times", "numpy-complex-in-a-list"])
+def test_complex_arrays_are_refused_as_a_list_holding_a_complex_is(t, v):
+    # numpy casts a complex array to float64 with only a warning, dropping
+    # the imaginary part; every caller of the series rule refuses it
+    for build in (TimeSeries, build_spline, lambda t, v: extend(t, v, "even")):
+        with pytest.raises(ValueError) as err:
+            build(t, v)
+        assert str(err.value) == "times and values must be real numbers"
 
 
 def test_series_copies_are_independent():
@@ -180,6 +209,18 @@ def test_differentiate_sine_matches_cosine():
     d = differentiate(TimeSeries(t, np.sin(t)))
     # interior points only: the one-sided ends are first order
     npt.assert_allclose(d.values[1:-1], np.cos(t[1:-1]), atol=1e-4)
+
+
+def test_differentiate_is_first_order_on_an_uneven_grid():
+    # for v = t**2 the central difference at an interior sample is
+    # t[i+1] + t[i-1], so its error against 2 t[i] is h_right - h_left: first
+    # order in the gaps, and zero only where they are equal. The times are
+    # exact in binary, so every step is exact
+    t = np.array([0.0, 1.0, 3.0, 3.5, 5.5, 6.0, 6.5])
+    d = differentiate(TimeSeries(t, t * t)).values
+    h = np.diff(t)
+    npt.assert_array_equal(d[1:-1] - 2.0 * t[1:-1], h[1:] - h[:-1])
+    assert (d[1:-1] != 2.0 * t[1:-1]).sum() == 4
 
 
 def test_differentiate_is_linear_operator():
