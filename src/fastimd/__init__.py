@@ -10,10 +10,7 @@ from .filtering import (
     FilterCriteria,
     FilterPass,
     FilterResult,
-    MarkedList,
-    build_passed_function,
     filter_series,
-    mark_extrema,
 )
 from .imd import (
     DecompositionResult,
@@ -30,7 +27,6 @@ from .series import (
     Extremum,
     ImfReport,
     TimeSeries,
-    differentiate,
     find_extrema,
     imf_report,
 )
@@ -41,10 +37,10 @@ from .svgplot import render_svg
 
 __version__ = "0.1.0"
 
-# initial_residue and refine_once are steps of the public calls; they stay
-# importable here but are not part of the public surface
+# initial_residue and refine_once are steps of the public calls, and
+# CubicSpline is the class build_spline names; they stay importable here but
+# are not part of the public surface
 __all__ = [
-    "CubicSpline",
     "DecompositionResult",
     "EXTENSION_KINDS",
     "Extrema",
@@ -53,20 +49,16 @@ __all__ = [
     "FilterPass",
     "FilterResult",
     "ImfReport",
-    "MarkedList",
     "ModeComponent",
     "RefinementConfig",
     "TimeSeries",
-    "build_passed_function",
     "build_spline",
     "decompose",
-    "differentiate",
     "extend",
     "extract_mode",
     "filter_series",
     "find_extrema",
     "imf_report",
-    "mark_extrema",
     "median_points",
     "random_walk",
     "read_csv",

@@ -86,8 +86,9 @@ def extend(
     else:  # cyclic
         if m < 4:
             raise ValueError("cyclic extension needs at least 4 control points")
-        scale = max(abs(v[0]), abs(v[-1]), 1.0)
-        if not abs(v[0] - v[-1]) <= _CYCLIC_RTOL * scale:
+        # relative to the largest control value, so the rule is the same at
+        # every value scale
+        if not abs(v[0] - v[-1]) <= _CYCLIC_RTOL * np.max(np.abs(v)):
             raise ValueError(
                 "cyclic extension needs equal first and last control values "
                 f"(got {v[0]} and {v[-1]})"

@@ -17,17 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .imd import RefinementConfig, _chord_midpoints, extract_mode
-from .series import (Extrema, TimeSeries, _checked_number, _checked_pair, _overflow_checked,
+from .series import (TimeSeries, _checked_number, _checked_pair, _overflow_checked,
                      find_extrema)
 from .spline import build_spline
 
 __all__ = [
     "FilterCriteria",
-    "MarkedList",
     "FilterPass",
     "FilterResult",
-    "mark_extrema",
-    "build_passed_function",
     "filter_series",
 ]
 
@@ -57,19 +54,22 @@ class FilterCriteria:
         _checked_number(self.max_passes, "max_passes", "positive", integer=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkedList:
     """A maximal contiguous run of marked extrema with its flanking anchors.
 
-    ``extrema`` is the run's slice of the component's ``Extrema`` record.
-
-    Anchors are (time, value) of the nearest unmarked extremum on each side,
-    or of the series endpoint sample when the run touches the boundary.
+    ``knots`` holds the sample indices (intp) of the run's bridge knots: the
+    anchor before, the marked extrema, and the anchor after. An anchor is
+    the nearest unmarked extremum on that side, or the series endpoint
+    sample when the run touches the boundary.
     """
 
-    extrema: Extrema
-    anchor_before: tuple[float, float]
-    anchor_after: tuple[float, float]
+    knots: np.ndarray
+
+    @property
+    def extrema(self) -> np.ndarray:
+        """Sample indices of the marked extrema, without the anchors."""
+        return self.knots[1:-1]
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
     """
     ext = find_extrema(imf)
     padded = np.concatenate(([0], ext.index, [len(imf) - 1]))
-    seq_t, seq_v = imf.times[padded], imf.values[padded]
-    edges = np.diff(seq_t)
+    edges = np.diff(imf.times[padded])
     marked = np.zeros(len(ext), dtype=bool)
     for lo, hi in criteria.jump_time_blocks:
         blocked = (edges >= lo) & (edges < hi)
@@ -124,20 +123,15 @@ def mark_extrema(imf: TimeSeries, criteria: FilterCriteria) -> list[MarkedList]:
         v = np.abs(ext.value)
         marked |= (v > 0.0) & (v < criteria.amplitude_floor)
 
-    # run k covers extrema starts[k] .. ends[k] - 1; its anchors are the
-    # padded sequence's entries just outside it
+    # run k covers extrema starts[k] .. ends[k] - 1, which are padded entries
+    # starts[k] + 1 .. ends[k]; its anchors are the padded entries just outside
     steps = np.diff(np.concatenate(([0], marked, [0])))
     starts = np.flatnonzero(steps == 1).tolist()
     ends = np.flatnonzero(steps == -1).tolist()
-    seq_t, seq_v = seq_t.tolist(), seq_v.tolist()
-    return [
-        MarkedList(Extrema(ext.index[i:j], ext.time[i:j], ext.value[i:j], ext.is_max[i:j]),
-                   (seq_t[i], seq_v[i]), (seq_t[j + 1], seq_v[j + 1]))
-        for i, j in zip(starts, ends)
-    ]
+    return [MarkedList(padded[i:j + 2]) for i, j in zip(starts, ends)]
 
 
-def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSeries:
+def build_passed_function(imf: TimeSeries, runs: list[MarkedList]) -> TimeSeries:
     """Bridge each marked run with a clamped spline, keep the rest verbatim.
 
     Knots for a run are its extrema's median points on the component (the
@@ -153,15 +147,12 @@ def build_passed_function(imf: TimeSeries, lists: list[MarkedList]) -> TimeSerie
     # an overflow shows as a non-finite knot or bridge value, and is reported
     # by the checks below instead of by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for lst in lists:
-            ext = lst.extrema
-            knot_t = np.concatenate(([lst.anchor_before[0]], ext.time, [lst.anchor_after[0]]))
-            knot_v = np.concatenate(([lst.anchor_before[1]], ext.value, [lst.anchor_after[1]]))
-            knot_v[1:-1] = np.where(ext.value == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
+        for run in runs:
+            knots = run.knots
+            knot_t, knot_v = imf.times[knots], imf.values[knots]
+            knot_v[1:-1] = np.where(knot_v[1:-1] == 0.0, 0.0, _chord_midpoints(knot_t, knot_v))
             bridge = build_spline(knot_t, _overflow_checked(knot_v), flat_ends=True)
-            # the grid is sorted, so the samples inside the anchors are a slice
-            lo = np.searchsorted(imf.times, knot_t[0], side="left")
-            hi = np.searchsorted(imf.times, knot_t[-1], side="right")
+            lo, hi = knots[0], knots[-1] + 1
             out[lo:hi] = _overflow_checked(bridge.evaluate_on_grid(imf.times[lo:hi]))
     # out is a fresh copy of finite values, and every bridge in it is checked
     return imf._with_fresh_values(out)
@@ -193,15 +184,15 @@ def filter_series(
         if mode is None:
             break
         imf = mode.imf
-        lists = mark_extrema(imf, criteria)
-        if not lists:
+        runs = mark_extrema(imf, criteria)
+        if not runs:
             break
-        passed = build_passed_function(imf, lists)
+        passed = build_passed_function(imf, runs)
         with np.errstate(over="ignore"):  # reported by the check below
             rebuilt = data._with_fresh_values(
                 _overflow_checked(passed.values + mode.residue.values))
         change = float(np.max(np.abs(rebuilt.values - filtered.values)))
-        diags.append(FilterPass(marked=sum(len(l.extrema) for l in lists), max_change=change))
+        diags.append(FilterPass(marked=sum(len(run.extrema) for run in runs), max_change=change))
         filtered = rebuilt
         if change < tol:
             break

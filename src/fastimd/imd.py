@@ -236,11 +236,14 @@ def extract_mode(
 ) -> Optional[ModeComponent]:
     """Separate one oscillatory component from the data.
 
-    Returns None when ``initial_residue`` does, meaning nothing oscillatory
-    remains. Otherwise refinement runs until the iteration cap, until the
-    largest residue change between passes drops under the tolerance, or until
-    that change stops shrinking, in which case the previous, better iterate
-    is kept. Raises FloatingPointError when a series overflows float64.
+    Refinement runs until the iteration cap, until the largest residue
+    change between passes drops under the tolerance, or until that change
+    stops shrinking, in which case the previous, better iterate is kept.
+    Returns None, meaning nothing oscillatory remains, in three cases: when
+    ``initial_residue`` does; when the starting component has fewer than 3
+    extrema, so the first pass cannot refine it; and when the component's
+    spread is under 1e-12 of the input's. Raises FloatingPointError when a
+    series overflows float64.
     """
     residue = initial_residue(data, cfg.initialization)
     if residue is None:

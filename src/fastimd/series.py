@@ -18,7 +18,6 @@ __all__ = [
     "Extremum",
     "Extrema",
     "ImfReport",
-    "differentiate",
     "find_extrema",
     "imf_report",
 ]

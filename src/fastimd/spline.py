@@ -27,7 +27,7 @@ import numpy as np
 
 from .series import _checked_number, _checked_samples
 
-__all__ = ["CubicSpline", "build_spline"]
+__all__ = ["build_spline"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 

@@ -5,9 +5,9 @@ the input, so identical calls produce byte-identical files.
 
 Both axes stay finite up to the float64 limit, and every point lies in the
 plot box. Point coordinates are formatted as ``%.2f`` would format them,
-from arrays. The chart is one text document, written once; title and label
-characters that cannot be encoded (a file name's undecodable bytes) show as
-``?``.
+from arrays. The chart is one well-formed XML document, written once; title
+and label characters that cannot be encoded (a file name's undecodable
+bytes) or that XML does not allow (control characters) show as ``?``.
 
 A polyline holds at most four points per quarter unit of plot width (M4
 aggregation: Jugel et al., "M4: A Visualization-Oriented Time Series Data
@@ -200,6 +200,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+# characters XML 1.0 does not allow in a document: the C0 controls other than
+# tab, line feed and carriage return, and U+FFFE and U+FFFF
+_NOT_XML = {c: "?" for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)}
+
+
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").translate(_NOT_XML)
 

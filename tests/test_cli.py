@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import numpy.testing as npt
@@ -675,6 +676,18 @@ def test_plot_of_an_undecodable_file_name(tmp_path, capsys, command):
     assert main(argv) == 0
     chart = out / ("filter.svg" if command == "filter" else "decomposition.svg")
     assert b" of " + os.path.join(str(tmp_path), "caf?.csv").encode() in chart.read_bytes()
+
+
+def test_plot_of_a_file_name_with_a_control_character(tmp_path, capsys):
+    # the title names the input, and XML allows no U+0001 in it: the chart
+    # shows it as "?" and still parses
+    src = os.path.join(str(tmp_path), "a\x01b.csv")
+    write_csv(two_cosine(), src)
+    out = tmp_path / "out"
+    assert main(["decompose", "--input", src, "--plot", "--output-dir", str(out)]) == 0
+    root = ElementTree.parse(out / "decomposition.svg").getroot()
+    title = next(root.iter("{http://www.w3.org/2000/svg}text")).text
+    assert title == "decomposition of " + os.path.join(str(tmp_path), "a?b.csv")
 
 
 def test_filter_noop_message(tmp_path, capsys):

@@ -167,6 +167,21 @@ def test_cyclic_needs_matching_ends():
     extend(t, v, "cyclic")
 
 
+def test_cyclic_ends_rule_is_the_same_at_every_value_scale():
+    # the tolerance follows the largest control value, with no absolute
+    # floor: ends 1 and 5 used to pass once scaled by 2^-32 or less
+    t = np.arange(7.0)
+    # ends 1e-10 of the largest value apart pass, and scale exactly
+    close = np.array([1.0, 3.0, 0.0, 4.0, -1.0, 2.0, 1.0 + 4e-10])
+    want_t, want_v = extend(t, close, "cyclic")
+    for k in sorted({*range(-800, 801, 80), -40, -30, -27, -20}):
+        with pytest.raises(ValueError, match="^cyclic extension needs equal first and last"):
+            extend(t, np.array([1.0, 3.0, 0.0, 4.0, -1.0, 2.0, 5.0]) * 2.0**k, "cyclic")
+        et, ev = extend(t, close * 2.0**k, "cyclic")
+        npt.assert_array_equal(et, want_t)
+        npt.assert_array_equal(ev, want_v * 2.0**k)
+
+
 def test_minimum_counts():
     with pytest.raises(ValueError):
         extend(np.array([0.0, 1.0]), np.array([0.0, 1.0]), "even")

@@ -1,8 +1,10 @@
 """Tests for cycle-level filtering.
 
 The nine-sample sawtooth with one undersized peak is small enough to check
-by hand: its peak medians, run anchors, and the bridged values at t = 4 and
-t = 5 are frozen below.  End-to-end behaviour is pinned on the two-cosine
+by hand: its peak medians, run anchors (the first and last of a run's knot
+indices), and the bridged values at t = 4 and t = 5 are frozen below. The
+two filter steps are module functions of ``fastimd.filtering``, not public
+names.  End-to-end behaviour is pinned on the two-cosine
 signal, where a [0, 20) jump-time block must strip the fast ripple.
 """
 
@@ -16,17 +18,16 @@ from fastimd import (
     FilterCriteria,
     FilterResult,
     TimeSeries,
-    build_passed_function,
     build_spline,
     extract_mode,
     filter_series,
     find_extrema,
-    mark_extrema,
     random_walk,
     sinusoid,
     two_cosine,
 )
 from fastimd import filtering
+from fastimd.filtering import build_passed_function, mark_extrema
 from fastimd.imd import _chord_midpoints
 
 
@@ -39,6 +40,12 @@ def small_saw():
 def uniform_cosine():
     t = np.arange(0.0, 100.5, 0.5)
     return TimeSeries(t, 3.0 * np.cos(2.0 * np.pi * t / 20.0))
+
+
+def anchors(imf, run):
+    """(time, value) of a run's first and last knot, its two anchors."""
+    first, last = run.knots[0], run.knots[-1]
+    return (imf.times[first], imf.values[first]), (imf.times[last], imf.values[last])
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +65,9 @@ def test_edges_frozen():
     npt.assert_array_equal(edges(s), [1.0, 2.0, 2.0, 2.0, 1.0])
     # every extremum has a 2-unit edge; the outer ones also a 1-unit edge
     lists = mark_extrema(s, FilterCriteria(jump_time_blocks=((2.0, 3.0),)))
-    assert [[e.time for e in run.extrema] for run in lists] == [[1.0, 3.0, 5.0, 7.0]]
+    assert [s.times[run.extrema].tolist() for run in lists] == [[1.0, 3.0, 5.0, 7.0]]
     lists = mark_extrema(s, FilterCriteria(jump_time_blocks=((1.0, 2.0),)))
-    assert [[e.time for e in run.extrema] for run in lists] == [[1.0], [7.0]]
+    assert [s.times[run.extrema].tolist() for run in lists] == [[1.0], [7.0]]
 
 
 def test_edges_uniform_cosine():
@@ -91,7 +98,7 @@ def test_edges_pair_up():
             block = ((float(e[k]), float(np.nextafter(e[k], np.inf))),)
             lists = mark_extrema(s, FilterCriteria(jump_time_blocks=block))
             assert len(lists) == 1
-            npt.assert_array_equal(lists[0].extrema.index, ext.index[k - 1:k + 1])
+            npt.assert_array_equal(lists[0].extrema, ext.index[k - 1:k + 1])
             cases += 1
     assert cases > 100
 
@@ -105,12 +112,12 @@ def test_mark_nothing_by_default():
 
 
 def test_mark_amplitude_floor():
-    lists = mark_extrema(small_saw(), FilterCriteria(amplitude_floor=1.0))
+    s = small_saw()
+    lists = mark_extrema(s, FilterCriteria(amplitude_floor=1.0))
     assert len(lists) == 1
     run = lists[0]
-    assert [e.time for e in run.extrema] == [5.0]
-    assert run.anchor_before == (3.0, -2.0)
-    assert run.anchor_after == (7.0, -2.0)
+    assert s.times[run.extrema].tolist() == [5.0]
+    assert anchors(s, run) == ((3.0, -2.0), (7.0, -2.0))
 
 
 def test_floor_ignores_exact_zero():
@@ -130,26 +137,25 @@ def test_jump_block_is_half_open():
     assert len(lists) == 1
     assert len(lists[0].extrema) == 9
     # the run spans everything, so the anchors are the endpoint samples
-    assert lists[0].anchor_before == (0.0, 3.0)
-    assert lists[0].anchor_after == (100.0, 3.0)
+    assert anchors(s, lists[0]) == ((0.0, 3.0), (100.0, 3.0))
 
 
 def test_mark_either_edge_suffices():
     # only the outermost edges have duration 1; a [0, 1.5) block marks just
     # the first and last extremum
-    lists = mark_extrema(small_saw(), FilterCriteria(jump_time_blocks=((0.0, 1.5),)))
-    times = [e.time for run in lists for e in run.extrema]
+    s = small_saw()
+    lists = mark_extrema(s, FilterCriteria(jump_time_blocks=((0.0, 1.5),)))
+    times = [t for run in lists for t in s.times[run.extrema].tolist()]
     assert times == [1.0, 7.0]
     assert len(lists) == 2
 
 
 def test_runs_split_on_unmarked_gaps():
-    lists = mark_extrema(small_saw(), FilterCriteria(jump_time_blocks=((0.0, 1.5),)))
+    s = small_saw()
+    lists = mark_extrema(s, FilterCriteria(jump_time_blocks=((0.0, 1.5),)))
     # two separate single-extremum runs, each anchored on its unmarked side
-    assert lists[0].anchor_before == (0.0, 0.0)
-    assert lists[0].anchor_after == (3.0, -2.0)
-    assert lists[1].anchor_before == (5.0, 0.4)
-    assert lists[1].anchor_after == (8.0, 0.0)
+    assert anchors(s, lists[0]) == ((0.0, 0.0), (3.0, -2.0))
+    assert anchors(s, lists[1]) == ((5.0, 0.4), (8.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +211,8 @@ def test_bridge_keeps_zero_extrema_on_axis():
 # ---------------------------------------------------------------------------
 
 def _reference_mark_extrema(imf, criteria):
-    """Runs as (extremum sample indices, anchor_before, anchor_after), found
-    by a loop over the marks."""
+    """Each run's knot sample indices (anchor before, marked extrema, anchor
+    after), found by a loop over the marks."""
     ext = find_extrema(imf)
     durations = edges(imf)
     marked = np.zeros(len(ext), dtype=bool)
@@ -216,8 +222,7 @@ def _reference_mark_extrema(imf, criteria):
     if criteria.amplitude_floor > 0.0:
         v = np.abs(ext.value)
         marked |= (v > 0.0) & (v < criteria.amplitude_floor)
-    seq_t = [float(imf.times[0]), *ext.time.tolist(), float(imf.times[-1])]
-    seq_v = [float(imf.values[0]), *ext.value.tolist(), float(imf.values[-1])]
+    seq = [0, *ext.index.tolist(), len(imf) - 1]
     runs = []
     k = 0
     while k < len(ext):
@@ -227,23 +232,25 @@ def _reference_mark_extrema(imf, criteria):
         j = k
         while j < len(ext) and marked[j]:
             j += 1
-        runs.append((ext.index[k:j], (seq_t[k], seq_v[k]), (seq_t[j + 1], seq_v[j + 1])))
+        runs.append([seq[k], *ext.index[k:j].tolist(), seq[j + 1]])
         k = j
     return runs
 
 
 def _reference_build_passed_function(imf, runs):
     """Bridge values with every median taken from a rescan of the whole
-    component, each run's extrema located in it by ``searchsorted``."""
+    component, each run's extrema located in it by ``searchsorted``, and the
+    bridged samples found by comparing times."""
     ext = find_extrema(imf)
     seq_t = np.concatenate(([imf.times[0]], ext.time, [imf.times[-1]]))
     seq_v = np.concatenate(([imf.values[0]], ext.value, [imf.values[-1]]))
     medians = np.where(ext.value == 0.0, 0.0, _chord_midpoints(seq_t, seq_v))
     out = imf.values.copy()
-    for index, before, after in runs:
-        pos = np.searchsorted(ext.index, index)
-        knot_t = np.concatenate(([before[0]], seq_t[pos + 1], [after[0]]))
-        knot_v = np.concatenate(([before[1]], medians[pos], [after[1]]))
+    for knots in runs:
+        before, after = knots[0], knots[-1]
+        pos = np.searchsorted(ext.index, knots[1:-1])
+        knot_t = np.concatenate(([imf.times[before]], seq_t[pos + 1], [imf.times[after]]))
+        knot_v = np.concatenate(([imf.values[before]], medians[pos], [imf.values[after]]))
         bridge = build_spline(knot_t, knot_v, flat_ends=True)
         mask = (imf.times >= knot_t[0]) & (imf.times <= knot_t[-1])
         out[mask] = bridge.evaluate_on_grid(imf.times[mask])
@@ -269,16 +276,10 @@ def test_runs_and_bridges_match_reference():
             lists = mark_extrema(imf, criteria)
             want = _reference_mark_extrema(imf, criteria)
             assert len(lists) == len(want)
-            ext = find_extrema(imf)
-            for lst, (index, before, after) in zip(lists, want):
-                i = int(np.searchsorted(ext.index, index[0]))
-                j = i + len(index)
-                npt.assert_array_equal(lst.extrema.index, ext.index[i:j])
-                npt.assert_array_equal(lst.extrema.index, index)
-                npt.assert_array_equal(lst.extrema.time, ext.time[i:j])
-                npt.assert_array_equal(lst.extrema.value, ext.value[i:j])
-                npt.assert_array_equal(lst.extrema.is_max, ext.is_max[i:j])
-                assert (lst.anchor_before, lst.anchor_after) == (before, after)
+            for run, knots in zip(lists, want):
+                assert run.knots.dtype == np.intp
+                npt.assert_array_equal(run.knots, knots)
+                npt.assert_array_equal(run.extrema, knots[1:-1])
             npt.assert_array_equal(build_passed_function(imf, lists).values,
                                    _reference_build_passed_function(imf, want))
             cases += len(lists) > 0

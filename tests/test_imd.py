@@ -22,7 +22,6 @@ from fastimd import (
     TimeSeries,
     build_spline,
     decompose,
-    differentiate,
     extend,
     extract_mode,
     filter_series,
@@ -35,6 +34,7 @@ from fastimd import (
     sinusoid,
     two_cosine,
 )
+from fastimd.series import differentiate
 
 
 def cosine_series(amplitude=3.0, period=20.0, span=100.0, step=0.5):
@@ -390,6 +390,22 @@ def test_cyclic_extension_decomposes_closed_walks():
         npt.assert_allclose(total, data.values, atol=1e-9 * data.spread)
 
 
+def test_cyclic_extension_rejects_open_ends_at_every_value_scale():
+    # a closed walk decomposes at every scale; moving its last value by 1e-3
+    # of its spread opens it; scaled by 2^-27 or less, it used to pass the
+    # ends check and give 8 modes on a wrap whose ends do not match
+    cfg = RefinementConfig(extension="cyclic")
+    walk = random_walk(3, span=999)
+    t, v = walk.times, walk.values
+    closed = v - (v[-1] - v[0]) * (t - t[0]) / (t[-1] - t[0])
+    opened = closed.copy()
+    opened[-1] += 1e-3 * (closed.max() - closed.min())
+    for k in sorted({*range(-800, 801, 80), -40, -30, -27, -20}):
+        assert len(decompose(TimeSeries(t, closed * 2.0**k), cfg).modes) == 8, k
+        with pytest.raises(ValueError, match="^cyclic extension needs equal first and last"):
+            decompose(TimeSeries(t, opened * 2.0**k), cfg)
+
+
 def test_decompose_residue_is_exhausted():
     result = decompose(two_cosine())
     # nothing oscillatory remains at the end
@@ -420,6 +436,19 @@ def test_decompose_too_short_to_differentiate():
     r = decompose(s)
     assert r.modes == ()
     npt.assert_array_equal(r.final_residue.values, s.values)
+
+
+def test_starting_component_too_flat_to_refine_is_not_a_mode():
+    # the derivative has three extrema, so there is an initial residue, but
+    # data minus it has fewer than three, so the first pass cannot refine it
+    s = TimeSeries(np.arange(8.0), [1.0, 1.0, 0.0, 1.0, -1.0, -1.0, -1.0, -3.0])
+    residue = initial_residue(s)
+    assert residue is not None
+    assert len(find_extrema(s._minus(residue.values))) < 3
+    assert extract_mode(s) is None
+    result = decompose(s)
+    assert result.modes == ()
+    assert result.final_residue is s
 
 
 def test_component_under_the_noise_floor_is_not_a_mode(monkeypatch):

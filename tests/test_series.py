@@ -25,7 +25,6 @@ from fastimd import (
     TimeSeries,
     build_spline,
     decompose,
-    differentiate,
     extend,
     find_extrema,
     imf_report,
@@ -35,6 +34,7 @@ from fastimd import (
     sinusoid,
     two_cosine,
 )
+from fastimd.series import differentiate
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def test_svg_escapes_markup(tmp_path):
     assert "a&lt;b&amp;c" in text
     assert "x&lt;y&gt;z&amp;w" in text
     assert "x<y" not in text
+
+
+NOT_XML = [chr(c) for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)]
+
+
+@pytest.mark.parametrize("char", NOT_XML, ids=[f"U+{ord(c):04X}" for c in NOT_XML])
+def test_svg_text_that_xml_does_not_allow_shows_as_a_question_mark(tmp_path, char):
+    # such a character in a title or label used to make the chart not parse
+    path = tmp_path / "ctl.svg"
+    t = np.arange(3.0)
+    render_svg({f"in{char}put": TimeSeries(t, t)}, str(path), title=f"a{char}b\t<c>")
+    texts = [e.text for e in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a?b\t<c>" in texts and "in?put" in texts
 
 
 @pytest.mark.filterwarnings("error")

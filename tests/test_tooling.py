@@ -24,13 +24,11 @@ import fastimd
 from fastimd.cli import build_parser
 
 PUBLIC_NAMES = [
-    "CubicSpline", "DecompositionResult", "EXTENSION_KINDS", "Extrema", "Extremum",
-    "FilterCriteria", "FilterPass", "FilterResult", "ImfReport", "MarkedList",
-    "ModeComponent", "RefinementConfig", "TimeSeries", "build_passed_function",
-    "build_spline", "decompose", "differentiate", "extend", "extract_mode",
-    "filter_series", "find_extrema", "imf_report", "mark_extrema", "median_points",
-    "random_walk", "read_csv", "render_svg", "riding_wave", "sinusoid", "synth",
-    "two_cosine", "write_csv",
+    "DecompositionResult", "EXTENSION_KINDS", "Extrema", "Extremum", "FilterCriteria",
+    "FilterPass", "FilterResult", "ImfReport", "ModeComponent", "RefinementConfig",
+    "TimeSeries", "build_spline", "decompose", "extend", "extract_mode", "filter_series",
+    "find_extrema", "imf_report", "median_points", "random_walk", "read_csv", "render_svg",
+    "riding_wave", "sinusoid", "synth", "two_cosine", "write_csv",
 ]
 
 CLI_FLAGS = {
@@ -232,8 +230,7 @@ def _records(walk) -> list:
     extrema = fastimd.find_extrema(imf)
     filtered = fastimd.filter_series(walk, criteria)
     return [walk, extrema, extrema[0], fastimd.imf_report(imf), result.modes[0], result,
-            fastimd.mark_extrema(imf, criteria)[0], filtered.diagnostics[0], filtered,
-            fastimd.RefinementConfig(), criteria]
+            filtered.diagnostics[0], filtered, fastimd.RefinementConfig(), criteria]
 
 
 def test_every_record_type_compares_and_hashes():
