@@ -56,10 +56,12 @@ From D and k the text is assembled in arrays as ``%g`` does it: fixed
 notation for k from -4 to 16 and exponent notation (``e+XX``/``e+XXX``)
 otherwise, trailing zeros and a bare point stripped, ``-0`` kept. Both
 writers, ``write_csv`` here and ``svgplot.render_svg``, peel digits with
-the one ``_digit_rows`` (whole numbers through ``_whole_rows``), join
-their text with ``_join_text`` and write bytes through one atomic path
-(``_write_atomic``: temp file plus rename), so no platform changes the line
-ends; a chart's point text is decoded, to join the one document it writes.
+the one ``_digit_rows``: a chart writes its points, whole hundredths of a
+plot unit, through ``_whole_text``, as a whole-number column is written.
+Both join their text with ``_join_text`` and write bytes through one atomic
+path (``_write_atomic``: temp file plus rename), so no platform changes the
+line ends; a chart's point text is decoded, to join the one document it
+writes.
 Written files get the mode ``open(path, "w")`` gives.
 """
 

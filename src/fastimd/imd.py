@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .extension import EXTENSION_KINDS, extend
-from .series import (TimeSeries, _checked_number, _overflow_checked, differentiate,
-                     find_extrema)
+from .series import (TimeSeries, _checked_number, _checked_samples, _overflow_checked,
+                     differentiate, find_extrema)
 from .spline import _time_unit, build_spline
 
 __all__ = [
@@ -125,9 +125,12 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Only points with a full three-direction window produce output, so the
     result drops the two outermost points on each side. Callers extend the
     sequence first to get medians at the true boundary points.
+
+    The points pass the rule a ``TimeSeries`` passes, and raise its
+    ValueError if they fail it. Raises FloatingPointError when a median
+    overflows float64, as it can on values near the float64 limit.
     """
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    t, v = _checked_samples(t, v)
     if len(t) < 5:
         raise ValueError("median points need at least 5 points")
     # an interior point's turning direction is the sign of the cross product
@@ -137,11 +140,15 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # mean spacing
     tu = t / _time_unit(t)
     dt = tu[1:] - tu[:-1]
-    dv = v[1:] - v[:-1]
-    sign = np.sign(dt[:-1] * dv[1:] - dv[:-1] * dt[1:])
-    flip = sign[:-1] * sign[1:] < 0.0
-    use_median = flip[:-1] | flip[1:]
-    return t[2:-2].copy(), np.where(use_median, _chord_midpoints(t[1:-1], v[1:-1]), v[2:-2])
+    # an overflow shows as a non-finite median, and is reported by the check
+    # below instead of by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = v[1:] - v[:-1]
+        sign = np.sign(dt[:-1] * dv[1:] - dv[:-1] * dt[1:])
+        flip = sign[:-1] * sign[1:] < 0.0
+        use_median = flip[:-1] | flip[1:]
+        medians = np.where(use_median, _chord_midpoints(t[1:-1], v[1:-1]), v[2:-2])
+    return t[2:-2].copy(), _overflow_checked(medians)
 
 
 def _chord_midpoints(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -210,15 +217,15 @@ def refine_once(
         # extension then pivots on the data boundary itself
         ctrl = np.concatenate(([0], idx, [n - 1]))
     ct, cv = data.times[ctrl], data.values[ctrl]
-    # an overflow shows as a non-finite knot or residue, and is reported by
-    # the checks below instead of by numpy warnings
+    # an overflow shows as a non-finite median, moment, knot or residue, and is
+    # reported by each step's own check or the component's, instead of by
+    # numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end)
         mt, mv = median_points(et, ev)
         # extending the medians the same way puts knots past both data ends
         # under every extension kind, so the spline covers the whole grid
-        st, sv = extend(mt, _overflow_checked(mv), cfg.extension,
-                        start_anchor=start, end_anchor=end)
+        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
         spline = build_spline(st, sv)
         # every knot but the two extension knots past each data end is the
         # data sample at ctrl, so where the knots fall in the grid is known

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .series import _checked_number, _checked_samples
+from .series import _checked_number, _checked_samples, _overflow_checked
 
 __all__ = ["build_spline"]
 
@@ -43,7 +43,8 @@ class CubicSpline:
     The ends are natural, or flat (clamped to zero slope) when ``flat_ends``
     is true. Evaluation outside the knot span is an error; extend the knot
     set first if boundary coverage is needed. Bad knots raise the
-    ValueError a ``TimeSeries`` raises for the same times and values.
+    ValueError a ``TimeSeries`` raises for the same times and values, and
+    knots whose moments overflow float64 raise FloatingPointError.
     """
 
     def __init__(self, t: ArrayLike, y: ArrayLike, flat_ends: bool = False):
@@ -53,7 +54,10 @@ class CubicSpline:
         # spacing, so the slopes and right-hand side stay in range however
         # the times are scaled; a power of two rescales without rounding
         self._unit = _time_unit(t)
-        self._m = _solve_moments(t / self._unit, y, flat_ends)
+        # moments of values near the float64 limit can overflow; the check
+        # reports it instead of numpy warnings and a spline that gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._m = _overflow_checked(_solve_moments(t / self._unit, y, flat_ends))
 
     def evaluate(self, x: float) -> float:
         """Value of the interpolant at one point inside the knot span; ``x``
@@ -83,8 +87,14 @@ class CubicSpline:
         points below each knot. It is checked against that definition in
         O(m), and ValueError is raised if it fails, so evaluation then costs
         O(n + m) and gives the same bits as the search.
+
+        A complex grid raises ValueError. Values that overflow float64 come
+        back as inf or NaN, without a check: callers check what they keep.
         """
-        times = np.asarray(times, dtype=np.float64)
+        times = np.asarray(times)
+        if times.dtype.kind == "c":  # numpy would drop the imaginary part with a warning
+            raise ValueError("times and values must be real numbers")
+        times = times.astype(np.float64, copy=False)
         if times.ndim != 1:
             raise ValueError("grid must be one-dimensional")
         if len(times) == 0:

@@ -4,8 +4,10 @@ One polyline per series, shared axes, a small legend. Output depends only on
 the input, so identical calls produce byte-identical files.
 
 Both axes stay finite up to the float64 limit, and every point lies in the
-plot box. Point coordinates are formatted as ``%.2f`` would format them,
-from arrays. The chart is one well-formed XML document, written once; title
+plot box. A polyline's points are written in whole hundredths of a plot
+unit, ``round(100 * x)``, and the polyline is drawn at ``scale(0.01)``;
+its text comes from arrays, by the writer ``csvio`` uses for whole-number
+columns. The chart is one well-formed XML document, written once; title
 and label characters that cannot be encoded (a file name's undecodable
 bytes) or that XML does not allow (control characters) show as ``?``.
 
@@ -27,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .csvio import _digit_rows, _join_text, _whole_rows, _write_atomic
+from .csvio import _join_text, _whole_text, _write_atomic
 from .series import TimeSeries
 
 __all__ = ["render_svg"]
@@ -132,8 +134,8 @@ def render_svg(series_set: Mapping[str, TimeSeries], path: str, title: str = "")
         x, y = sx(s.times), sy(s.values)
         kept = _kept_points(x, y)
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{_points_text(x[kept], y[kept])}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="120" '
+            f'transform="scale(0.01)" points="{_points_text(x[kept], y[kept])}"/>'
         )
         lx = x0 + 10
         ly = y1 + 16 + 16 * k
@@ -168,32 +170,12 @@ def _kept_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _points_text(x: np.ndarray, y: np.ndarray) -> str:
-    """``" ".join("%.2f,%.2f" % (x[i], y[i]) for i in range(len(x)))``, for
-    at least one point; coordinates lie in [0, 2**52)."""
-    text = np.concatenate((_cents_text(x, b","), _cents_text(y, b" ")))
+    """``" ".join(f"{round(100 * x[i])},{round(100 * y[i])}" for i in ...)``,
+    for at least one point; coordinates lie in the plot box."""
+    x, y = np.rint(100.0 * x), np.rint(100.0 * y)
+    text = np.concatenate((_whole_text(x, x, b","), _whole_text(y, y, b" ")))
     text[-1, -1] = 0  # no separator after the last point
     return _join_text(text).decode("ascii")
-
-
-def _cents_text(v: np.ndarray, end: bytes) -> np.ndarray:
-    """The text table (see ``csvio._join_text``) of ``"%.2f" % v[i]``
-    followed by ``end``, one column per value."""
-    # %.2f rounds 100 v on its exact binary value, ties to even. v is m 2**-s
-    # for a 53-bit integer m, so 100 m < 2**60 and the rounding is in integers;
-    # cutting s at 62 still rounds every v below 2**-10 to 0
-    mantissa, exponent = np.frexp(v)
-    hundred_m = (mantissa * 2.0 ** 53).astype(np.int64) * 100
-    s = np.minimum(53 - exponent, 62).astype(np.int64)
-    cents = (hundred_m + (1 << (s - 1)) - 1 + ((hundred_m >> s) & 1)) >> s
-    whole, frac = np.divmod(cents, 100)
-    digits = _whole_rows(whole)
-    width = len(digits)
-    text = np.empty((width + 4, len(v)), dtype=np.uint8)
-    text[:width] = digits
-    text[width] = ord(".")
-    text[width + 1:width + 3] = _digit_rows(frac, 2)
-    text[width + 3] = ord(end)
-    return text
 
 
 def _fmt(x: float) -> str:

@@ -31,10 +31,11 @@ from hypothesis import strategies as st
 import fastimd.cli
 from fastimd import (FilterCriteria, ModeComponent, RefinementConfig, TimeSeries, decompose,
                      filter_series, random_walk, read_csv, render_svg, two_cosine, write_csv)
-from fastimd import csvio, svgplot
+from fastimd import csvio
 from fastimd.cli import build_parser, format_mode_line, main
 from fastimd.csvio import _CHUNK
 from fastimd.signals import SYNTH_KINDS
+from test_svgplot import points_in_box
 
 MODE_LINE = re.compile(
     r"^IMF component \d+, Extrema count: \d+, "
@@ -590,10 +591,7 @@ def test_decompose_plot_of_times_near_the_float64_limit(tmp_path, capsys):
     svg = (out / "decomposition.svg").read_text()
     assert "nan" not in svg and "inf" not in svg
     for points in re.findall(r'points="([^"]*)"', svg):
-        for point in points.split():
-            x, y = map(float, point.split(","))
-            assert svgplot._MARGIN_LEFT <= x <= svgplot._WIDTH - svgplot._MARGIN_RIGHT
-            assert svgplot._MARGIN_TOP <= y <= svgplot._HEIGHT - svgplot._MARGIN_BOTTOM
+        points_in_box(points)
 
 
 def test_decompose_derives_each_component_once(tmp_path, capsys, monkeypatch):
@@ -658,6 +656,19 @@ def test_filter_plot_of_a_long_series_is_small(tmp_path):
     text = (out / "filter.svg").read_text()
     assert text.count("<polyline") == 3
     assert (out / "filter.svg").stat().st_size < 1_000_000
+
+
+def test_filter_plot_points_are_whole_hundredths_in_the_box(tmp_path):
+    # each polyline is drawn at scale(0.01), its points in whole hundredths
+    out = tmp_path / "out"
+    assert main(["filter", "--synth", "two_cosine", "--block-jump", "0:20", "--plot",
+                 "--output-dir", str(out)]) == 0
+    root = ElementTree.parse(out / "filter.svg").getroot()
+    polylines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    assert len(polylines) == 3
+    for polyline in polylines:
+        assert polyline.get("transform") == "scale(0.01)"
+        assert len(points_in_box(polyline.get("points"))) > 2
 
 
 @pytest.mark.parametrize("command", ["filter", "decompose"])

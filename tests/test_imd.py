@@ -118,6 +118,32 @@ def test_median_needs_five_points():
             median_points(np.arange(float(n)), np.zeros(n))
 
 
+@pytest.mark.parametrize("t, v, message", [
+    (np.arange(7.0), [0.0, 1.0, np.nan, 1.0, 0.0, 1.0, 0.0], "times and values must be finite"),
+    ([0.0, 1.0, np.nan, 3.0, 4.0, 5.0, 6.0], np.zeros(7), "times and values must be finite"),
+    ([0.0, 1.0, 3.0, 2.0, 4.0, 5.0, 6.0], np.zeros(7), "times must be strictly increasing"),
+    ([0.0, 1.0, 1.0, 2.0, 4.0, 5.0, 6.0], np.zeros(7), "times must be strictly increasing"),
+    (np.arange(7.0), np.zeros(6), "times (len 7) and values (len 6) differ in length"),
+    (np.arange(7.0), [1j] * 7, "times and values must be real numbers"),
+], ids=["nan-value", "nan-time", "unsorted-times", "repeated-time", "unequal-lengths",
+        "complex-values"])
+def test_median_points_pass_the_series_rule(t, v, message):
+    # control points are a sampled function, and raise what a bad series raises
+    with pytest.raises(ValueError) as series_error:
+        TimeSeries(t, v)
+    with pytest.raises(ValueError) as median_error:
+        median_points(t, v)
+    assert str(series_error.value) == str(median_error.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_median_points_report_their_overflow():
+    # the chords between values of opposite sign near the limit overflow
+    v = 1.7e308 * np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(FloatingPointError, match="^values overflowed float64; "):
+        median_points(np.arange(7.0), v)
+
+
 # ---------------------------------------------------------------------------
 # initial residue
 # ---------------------------------------------------------------------------

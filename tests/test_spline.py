@@ -476,6 +476,19 @@ def test_short_intervals_near_the_float64_limit_stay_finite(flat_ends):
     assert got[np.searchsorted(x, t)].tobytes() == y.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t, y, flat_ends", [
+    ([0.0, 1.0, 2.0], [1e308, -1e308, 1e308], False),
+    ([0.0, 1.0, 2.0], [1e308, -1e308, 1e308], True),
+    (np.arange(5.0), 1e307 * (-1.0) ** np.arange(5), False),
+], ids=["natural", "flat", "alternating"])
+def test_moments_that_overflow_raise(t, y, flat_ends):
+    # the slopes, or the moments solved from them, pass the float64 limit;
+    # the spline used to evaluate to NaN
+    with pytest.raises(FloatingPointError, match="^values overflowed float64; "):
+        build_spline(t, y, flat_ends)
+
+
 @pytest.mark.parametrize("scale, grid", [
     pytest.param(1e308, [-1.0, -0.5, 0.0, 1.0], id="span-past-the-limit"),
     pytest.param(2.0**-1074, [-1.0, 0.0, 1.0], id="smallest-subnormals"),
@@ -594,6 +607,14 @@ def test_rejects_a_grid_that_is_not_one_dimensional():
     sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="^grid must be one-dimensional$"):
         sp.evaluate_on_grid(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("grid", [np.array([0.5 + 1j]), [1j]], ids=["array", "list"])
+def test_rejects_a_complex_grid(grid):
+    # numpy would drop the imaginary part of the array, with only a warning
+    sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="^times and values must be real numbers$"):
+        sp.evaluate_on_grid(grid)
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],

@@ -14,6 +14,21 @@ from fastimd import TimeSeries, render_svg, two_cosine
 from fastimd import svgplot
 
 
+def points_in_box(points: str) -> list:
+    """A polyline's ``points`` as ``(x, y)`` pairs of whole hundredths of a
+    plot unit, the unit it is drawn in, once each pair is shown to be two
+    non-negative integers inside the plot box times 100."""
+    x0, x1 = 100 * svgplot._MARGIN_LEFT, 100 * (svgplot._WIDTH - svgplot._MARGIN_RIGHT)
+    y1, y0 = 100 * svgplot._MARGIN_TOP, 100 * (svgplot._HEIGHT - svgplot._MARGIN_BOTTOM)
+    pairs = []
+    for point in points.split(" "):
+        assert re.fullmatch(r"[0-9]+,[0-9]+", point), point
+        x, y = map(int, point.split(","))
+        assert x0 <= x <= x1 and y1 <= y <= y0, point
+        pairs.append((x, y))
+    return pairs
+
+
 def test_svg_structure(tmp_path):
     path = str(tmp_path / "chart.svg")
     s = two_cosine()
@@ -72,9 +87,8 @@ def test_svg_of_large_values_is_finite(tmp_path, values):
     text = path.read_text()
     assert "nan" not in text and "inf" not in text
     # the line runs up through the plot box, or level across its middle
-    points = re.findall(r'points="([^"]*)"', text)[0].split()
-    (_, first), (_, last) = (map(float, p.split(",")) for p in points)
-    assert svgplot._MARGIN_TOP <= last <= first <= svgplot._HEIGHT - svgplot._MARGIN_BOTTOM
+    (_, first), (_, last) = points_in_box(re.findall(r'points="([^"]*)"', text)[0])
+    assert last <= first
     assert (last < first) == (values[1] > values[0])
 
 
@@ -111,7 +125,7 @@ def test_svg_bytes_are_pinned(tmp_path):
     assert b"pinned &amp; &lt;chart&gt;" in data and b'stroke="#cccccc"' in data
     assert data.endswith(b"</svg>\n")
     assert hashlib.sha256(data).hexdigest() == (
-        "a50d6d8937676380ca3382a9a65b08ae405730e28047a4ca9ab1bd897deefa06")
+        "b6b910047a0fa18b730c0d1dc4f0f48192be546906fa9e016eedbe98ba8ceecc")
 
 
 def _reference_kept(xs, ys) -> list:
@@ -131,9 +145,13 @@ def _reference_kept(xs, ys) -> list:
     return sorted(kept)
 
 
+def _reference_point(x, y) -> str:
+    return f"{round(100 * x)},{round(100 * y)}"
+
+
 def _reference_svg_points(series_set) -> list:
     """Each polyline's ``points`` as ``render_svg`` picks them, formatted one
-    point at a time."""
+    point at a time in whole hundredths."""
     t_lo = min(float(s.times[0]) for s in series_set.values())
     t_hi = max(float(s.times[-1]) for s in series_set.values())
     v_lo = min(float(s.values.min()) for s in series_set.values())
@@ -158,7 +176,7 @@ def _reference_svg_points(series_set) -> list:
     for s in series_set.values():
         xs = [sx(t) for t in s.times]
         ys = [sy(v) for v in s.values]
-        charts.append(" ".join(f"{xs[i]:.2f},{ys[i]:.2f}" for i in _reference_kept(xs, ys)))
+        charts.append(" ".join(_reference_point(xs[i], ys[i]) for i in _reference_kept(xs, ys)))
     return charts
 
 
@@ -188,9 +206,7 @@ def _assert_inside_box(text):
     y0, y1 = svgplot._HEIGHT - svgplot._MARGIN_BOTTOM, svgplot._MARGIN_TOP
     assert "nan" not in text and "inf" not in text
     for points in re.findall(r'points="([^"]*)"', text):
-        for point in points.split():
-            x, y = map(float, point.split(","))
-            assert x0 <= x <= x1 and y1 <= y <= y0
+        points_in_box(points)
     for x in re.findall(r'<line x1="([-\d.]+)" y1="[-\d.]+" x2="\1"', text):
         assert x0 <= float(x) <= x1
     for y in re.findall(r'<line x1="[-\d.]+" y1="([-\d.]+)" x2="[-\d.]+" y2="\1"', text):
@@ -210,29 +226,25 @@ def test_svg_of_large_times_is_finite(tmp_path, times):
     render_svg({"wide": TimeSeries(times, np.arange(len(times), dtype=float))}, str(path))
     text = path.read_text()
     _assert_inside_box(text)
-    points = re.findall(r'points="([^"]*)"', text)[0].split()
-    xs = [float(p.split(",")[0]) for p in points]
-    assert xs[0] == svgplot._MARGIN_LEFT and xs[-1] == svgplot._WIDTH - svgplot._MARGIN_RIGHT
+    xs = [x for x, _ in points_in_box(re.findall(r'points="([^"]*)"', text)[0])]
+    assert xs[0] == 100 * svgplot._MARGIN_LEFT
+    assert xs[-1] == 100 * (svgplot._WIDTH - svgplot._MARGIN_RIGHT)
     assert xs == sorted(xs)
 
 
-def _reference_points_text(x, y) -> str:
-    return " ".join("%.2f,%.2f" % pair for pair in zip(x, y))
-
-
-def test_point_text_matches_percent_format():
-    # exact ties k/8 round half to even; their neighbours either way must
-    # not be taken for ties
-    ties = np.arange(8000) / 8.0
+def test_point_text_matches_per_point_rounding():
+    # whole hundredths of the plot box: the half-way values k/200 and their
+    # neighbours either way must each round as round(100 * x) does
+    halves = np.arange(96_000) / 200.0
     rng = np.random.default_rng(10)
     values = np.concatenate([
-        ties, np.nextafter(ties, np.inf), np.nextafter(ties[1:], -np.inf),
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves[1:], -np.inf),
         [0.0], rng.uniform(0.0, 960.0, 100_000),
     ])
     x, y = values, rng.permutation(values)
-    assert svgplot._points_text(x, y) == _reference_points_text(x, y)
-    for n in (1, 2, 4095, 4096, 4097):
-        assert svgplot._points_text(x[:n], y[:n]) == _reference_points_text(x[:n], y[:n])
+    for n in (1, 2, 4095, 4096, 4097, len(x)):
+        pairs = zip(x[:n].tolist(), y[:n].tolist())
+        assert svgplot._points_text(x[:n], y[:n]) == " ".join(_reference_point(*p) for p in pairs)
 
 
 # plot widths between neighbouring points, from many per quarter-unit column
