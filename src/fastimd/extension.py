@@ -47,6 +47,7 @@ def extend(
     start_anchor: Optional[tuple[float, float]] = None,
     end_anchor: Optional[tuple[float, float]] = None,
     variant: str = "consistent",
+    _trusted: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extend control points ``(t, v)`` by two synthetic points per end.
 
@@ -60,7 +61,10 @@ def extend(
     odd extension's anchor is not; and FloatingPointError if a synthetic
     point reflected from finite ones overflows float64.
     """
-    t, v = _checked_samples(t, v)
+    # refinement passes points it took from a validated series, or built
+    # from them, and skips the copy and the scan
+    if not _trusted:
+        t, v = _checked_samples(t, v)
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
     if variant not in EXTENSION_VARIANTS:

@@ -116,7 +116,9 @@ class DecompositionResult:
     final_residue: TimeSeries
 
 
-def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def median_points(
+    t: np.ndarray, v: np.ndarray, *, _trusted: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Residue control points for an extended control sequence.
 
     A point whose turning direction disagrees in sign with either neighbour's
@@ -130,7 +132,8 @@ def median_points(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ValueError if they fail it. Raises FloatingPointError when a median
     overflows float64, as it can on values near the float64 limit.
     """
-    t, v = _checked_samples(t, v)
+    if not _trusted:  # refinement's own extended control points
+        t, v = _checked_samples(t, v)
     if len(t) < 5:
         raise ValueError("median points need at least 5 points")
     # an interior point's turning direction is the sign of the cross product
@@ -202,10 +205,21 @@ def refine_once(
     ``(residue, imf, control_count)``, or None when the component has fewer
     than 3 extrema and no refinement is possible.
 
-    Raises FloatingPointError when a knot, the residue or the component
-    overflows float64, which happens on data whose values come within a few
-    orders of magnitude of the float64 limit; rescaling the input avoids it.
+    Raises ValueError when ``current_imf`` is not sampled on the data's time
+    grid, since its extrema index the data. Raises FloatingPointError when a
+    knot, the residue or the component overflows float64, which happens on
+    data whose values come within a few orders of magnitude of the float64
+    limit; rescaling the input avoids it.
+
+    The pass validates nothing it builds from the data: control points,
+    medians, knots and their grid positions are known to be ordered and
+    finite, and only its overflow checks run on them.
     """
+    # the identity test is O(1) on the internal path, where the component
+    # shares the data's grid
+    if current_imf.times is not data.times and not np.array_equal(current_imf.times,
+                                                                  data.times):
+        raise ValueError("current_imf must be sampled on the data's time grid")
     idx = find_extrema(current_imf).index
     if len(idx) < 3:
         return None
@@ -221,17 +235,19 @@ def refine_once(
     # reported by each step's own check or the component's, instead of by
     # numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end)
-        mt, mv = median_points(et, ev)
+        et, ev = extend(ct, cv, cfg.extension, start_anchor=start, end_anchor=end,
+                        _trusted=True)
+        mt, mv = median_points(et, ev, _trusted=True)
         # extending the medians the same way puts knots past both data ends
         # under every extension kind, so the spline covers the whole grid
-        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end)
-        spline = build_spline(st, sv)
+        st, sv = extend(mt, mv, cfg.extension, start_anchor=start, end_anchor=end,
+                        _trusted=True)
+        spline = build_spline(st, sv, _trusted=True)
         # every knot but the two extension knots past each data end is the
         # data sample at ctrl, so where the knots fall in the grid is known
-        # without a search (the spline checks it)
+        # without a search
         residue_vals = spline.evaluate_on_grid(
-            data.times, knot_index=np.concatenate(([0, 0], ctrl, [n, n]))
+            data.times, knot_index=np.concatenate(([0, 0], ctrl, [n, n])), _trusted=True
         )
     # the data is finite, so a non-finite residue shows in the component
     return data._with_fresh_values(residue_vals), data._minus(residue_vals), len(idx)

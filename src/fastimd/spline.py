@@ -47,8 +47,10 @@ class CubicSpline:
     knots whose moments overflow float64 raise FloatingPointError.
     """
 
-    def __init__(self, t: ArrayLike, y: ArrayLike, flat_ends: bool = False):
-        t, y = _checked_samples(t, y)
+    def __init__(self, t: ArrayLike, y: ArrayLike, flat_ends: bool = False, *,
+                 _trusted: bool = False):
+        if not _trusted:  # refinement's own extended medians
+            t, y = _checked_samples(t, y)
         self.t, self.y = t, y
         # the moments are solved and kept in a time unit near the mean knot
         # spacing, so the slopes and right-hand side stay in range however
@@ -65,7 +67,8 @@ class CubicSpline:
         return float(self.evaluate_on_grid([_checked_number(x, "x")])[0])
 
     def evaluate_on_grid(
-        self, times: ArrayLike, *, knot_index: Optional[ArrayLike] = None
+        self, times: ArrayLike, *, knot_index: Optional[ArrayLike] = None,
+        _trusted: bool = False,
     ) -> np.ndarray:
         """Values at a non-decreasing sequence of points inside the knot span.
 
@@ -100,8 +103,10 @@ class CubicSpline:
         if len(times) == 0:
             return np.empty(0)
         # both checks are written to fail on NaN: the interval counts below
-        # are only right on a grid that is ordered throughout
-        if not np.logical_and.reduce(times[1:] >= times[:-1]):
+        # are only right on a grid that is ordered throughout. Refinement
+        # passes a validated series' times and the knots' known positions
+        # in them, and skips the scan and the knot_index check
+        if not (_trusted or np.logical_and.reduce(times[1:] >= times[:-1])):
             raise ValueError("grid times must be increasing")
         if not (times[0] >= self.t[0] and times[-1] <= self.t[-1]):
             raise ValueError(
@@ -114,6 +119,8 @@ class CubicSpline:
         # are set to y[-1] at the end
         if knot_index is None:
             starts = np.searchsorted(times, t, side="left")
+        elif _trusted:
+            starts = knot_index
         else:
             starts = _checked_knot_index(times, t, knot_index)
         counts = starts[1:] - starts[:-1]

@@ -208,9 +208,11 @@ def test_refine_once_cosine_fixed_point():
 
 
 def _reference_refine_once(data, current_imf, cfg):
-    """One refinement pass that clips the data grid to the spline's knot
-    span and evaluates it through the knot search; ``refine_once``, which
-    passes the knots' grid positions instead, must match it bit for bit."""
+    """One refinement pass through the public, checked calls: every step
+    validates its input, and the spline is evaluated on the data grid
+    clipped to its knot span through the knot search. ``refine_once``, which
+    trusts what it builds and passes the knots' grid positions, must match
+    it bit for bit."""
     idx = find_extrema(current_imf).index
     if len(idx) < 3:
         return None
@@ -242,37 +244,69 @@ def _outcome(step, *args):
 def test_refine_once_matches_clipped_reference(extension):
     # integer steps in {-1, 0, 1} leave plateaus, uneven spacing an irregular
     # grid; cyclic extension needs walks whose ends match, and where it still
-    # cannot extend both passes must fail with the same message
-    rng = np.random.default_rng(23)
+    # cannot extend both passes must fail with the same message. The same
+    # walks run scaled by 2^700 and by 2^-700, far from unit values
     cfg = RefinementConfig(extension=extension)
-    compared = 0
-    for _ in range(30):
-        n = int(rng.integers(20, 400))
-        v = np.cumsum(rng.integers(-1, 2, n)).astype(np.float64)
-        if extension == "cyclic":
-            v[-1] = v[0]
-        data = TimeSeries(np.cumsum(rng.uniform(0.05, 2.0, n)), v)
-        imf = data
-        for _ in range(3):
-            got = _outcome(refine_once, data, imf, cfg)
-            want = _outcome(_reference_refine_once, data, imf, cfg)
-            if want is None or isinstance(want, str):
-                assert got == want
-                break
-            residue, imf, count = got
-            assert not residue.values.flags.writeable and not imf.values.flags.writeable
-            assert residue.times is data.times and imf.times is data.times
-            assert residue.values.tobytes() == want[0].tobytes()
-            assert imf.values.tobytes() == want[1].tobytes()
-            assert count == want[2]
-            compared += 1
-    assert compared >= 30
+    for scale in (1.0, 2.0 ** 700, 2.0 ** -700):
+        rng = np.random.default_rng(23)
+        compared = 0
+        for _ in range(30):
+            n = int(rng.integers(20, 400))
+            v = scale * np.cumsum(rng.integers(-1, 2, n)).astype(np.float64)
+            if extension == "cyclic":
+                v[-1] = v[0]
+            data = TimeSeries(np.cumsum(rng.uniform(0.05, 2.0, n)), v)
+            imf = data
+            for _ in range(3):
+                got = _outcome(refine_once, data, imf, cfg)
+                want = _outcome(_reference_refine_once, data, imf, cfg)
+                if want is None or isinstance(want, str):
+                    assert got == want
+                    break
+                residue, imf, count = got
+                assert not residue.values.flags.writeable and not imf.values.flags.writeable
+                assert residue.times is data.times and imf.times is data.times
+                assert residue.values.tobytes() == want[0].tobytes()
+                assert imf.values.tobytes() == want[1].tobytes()
+                assert count == want[2]
+                compared += 1
+        assert compared >= 30
 
 
 def test_refine_once_needs_oscillation():
     t = np.arange(10.0)
     trend = TimeSeries(t, t)
     assert refine_once(trend, trend) is None
+
+
+def _refused_by_refine_once(current_imf):
+    # the component's extremum indices would index the data at other times
+    with pytest.raises(ValueError, match="^current_imf must be sampled on the data's time grid$"):
+        refine_once(random_walk(3, span=199), current_imf)
+
+
+def test_refine_once_refuses_a_longer_component():
+    # its extrema lie past the data's last index, which once raised IndexError
+    _refused_by_refine_once(random_walk(4, span=999))
+
+
+def test_refine_once_refuses_a_shorter_component():
+    # its extrema index samples of the data, but not the ones at their times
+    _refused_by_refine_once(random_walk(4, span=99))
+
+
+def test_refine_once_refuses_a_component_on_a_moved_grid():
+    data = random_walk(3, span=199)
+    _refused_by_refine_once(TimeSeries(2.0 * data.times + 7.0, data.values))
+
+
+def test_refine_once_takes_a_component_on_an_equal_grid():
+    data = random_walk(3, span=199)
+    twin = TimeSeries(data.times.copy(), data.values)
+    assert twin.times is not data.times
+    got, want = refine_once(data, twin), refine_once(data, data)
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert got[2] == want[2]
 
 
 # ---------------------------------------------------------------------------

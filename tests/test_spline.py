@@ -631,6 +631,19 @@ def test_unordered_knots_and_grids_raise(times):
         sp.evaluate_on_grid(np.array([0.0, np.inf, np.inf]))
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [0.0, 2.0, 1.0, 2.0]],
+                         ids=["nan", "decreasing"])
+def test_knot_index_keeps_the_grid_order_check(grid):
+    # a knot_index is checked against a grid shown to be ordered first
+    sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    grid = np.array(grid)
+    with pytest.raises(ValueError) as searched:
+        sp.evaluate_on_grid(grid)
+    with pytest.raises(ValueError) as given:
+        sp.evaluate_on_grid(grid, knot_index=[0, 1, len(grid) - 1])
+    assert str(given.value) == str(searched.value) == "grid times must be increasing"
+
+
 def test_rejects_evaluation_outside_span():
     sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
